@@ -20,11 +20,11 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import datagen, localize, model, selftrain
+from . import datagen, localize, losses, model, selftrain
 from .core import (
     OBJECTIVES,
     SIMPLIFICATIONS,
@@ -172,30 +172,69 @@ class ExperimentResult:
     metrics: List[selftrain.EpochMetrics]
     detections: List[localize.Detection]
     evaluation: localize.EvalResult
-    pretrain_test_accuracy: float
-    final_test_accuracy: float
 
 
-def run_experiment(config: ExperimentConfig, benchmark: Optional[datagen.Benchmark] = None) -> ExperimentResult:
-    """Generate data (unless given), pretrain, self-train, evaluate."""
-    if benchmark is None:
-        benchmark = datagen.generate_benchmark(config)
-    params = selftrain.pretrain(benchmark.labeled, config)
-    pre_acc = selftrain.snippet_accuracy(params, benchmark.test, config)
+def _train(
+    config: ExperimentConfig,
+    benchmark: datagen.Benchmark,
+    params: Optional[model.ModelParams] = None,
+) -> Tuple[model.ModelParams, List[selftrain.EpochMetrics]]:
+    """Pretrain (unless params are given), then self-train."""
+    if params is None:
+        params = selftrain.pretrain(benchmark.labeled, config)
     sealed = selftrain.sealed_label_map(benchmark, config)
-    params, metrics = selftrain.self_train_loop(
+    return selftrain.self_train_loop(
         params, benchmark.labeled, benchmark.unlabeled, config, sealed_labels=sealed
     )
+
+
+def run_experiment(
+    config: ExperimentConfig,
+    benchmark: Optional[datagen.Benchmark] = None,
+    params: Optional[model.ModelParams] = None,
+) -> ExperimentResult:
+    """Generate data (unless given), pretrain (unless params are given), self-train, evaluate."""
+    if benchmark is None:
+        benchmark = datagen.generate_benchmark(config)
+    params, metrics = _train(config, benchmark, params)
     detections, evaluation = localize.evaluate_model(params, benchmark.test, config)
     return ExperimentResult(
-        config=config,
-        params=params,
-        metrics=metrics,
-        detections=detections,
-        evaluation=evaluation,
-        pretrain_test_accuracy=pre_acc,
-        final_test_accuracy=selftrain.snippet_accuracy(params, benchmark.test, config),
+        config=config, params=params, metrics=metrics, detections=detections, evaluation=evaluation
     )
+
+
+def _load_checkpoint(path: str, config: ExperimentConfig) -> model.ModelParams:
+    if not Path(path).is_file():
+        raise MissingArtifactError(path, "model checkpoint")
+    return model.load_params(path, config.model_input_dim, config.hidden_width, config.label_count)
+
+
+def _sweep(
+    config: ExperimentConfig,
+    out: Path,
+    filename: str,
+    column: str,
+    variants: Sequence[Tuple[str, Dict[str, object]]],
+    seeds: int,
+) -> None:
+    """Run each (label, overrides) variant on consecutive seeds; write a CSV.
+
+    Each seed's dataset is generated once and shared by every variant: the
+    overrides (objective, lambda) are not inputs to generate_benchmark. Each
+    variant's seed rows are followed by its mean row.
+    """
+    seed_list = [config.seed + i for i in range(seeds)]
+    maps: List[List[float]] = [[] for _ in variants]
+    for seed in seed_list:
+        benchmark = datagen.generate_benchmark(config.replace(seed=seed))
+        for values, (_, overrides) in zip(maps, variants):
+            result = run_experiment(config.replace(seed=seed, **overrides), benchmark=benchmark)
+            values.append(result.evaluation.average_map)
+    rows = []
+    for (label, _), values in zip(variants, maps):
+        rows.extend([label, seed, value] for seed, value in zip(seed_list, values))
+        rows.append([label, "mean", float(np.mean(values))])
+    write_csv(out / filename, (column, "seed", "average_map"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -227,104 +266,47 @@ def _cmd_pretrain(config: ExperimentConfig, out: Path) -> None:
 
 
 def _cmd_selftrain(config: ExperimentConfig, out: Path, params_path: Optional[str]) -> None:
-    benchmark = datagen.generate_benchmark(config)
-    if params_path is not None:
-        if not Path(params_path).is_file():
-            raise MissingArtifactError(params_path, "pretrained checkpoint")
-        params = model.load_params(
-            params_path, config.model_input_dim, config.hidden_width, config.label_count
-        )
-    else:
-        params = selftrain.pretrain(benchmark.labeled, config)
-    sealed = selftrain.sealed_label_map(benchmark, config)
-    params, metrics = selftrain.self_train_loop(
-        params, benchmark.labeled, benchmark.unlabeled, config, sealed_labels=sealed
-    )
-    detections, evaluation = localize.evaluate_model(params, benchmark.test, config)
-    model.save_params(params, out / "checkpoint.txt")
-    write_metrics_jsonl(out / "metrics.jsonl", metrics)
-    localize.write_detections(out / "detections.tsv", detections)
-    write_map_csv(out / "map.csv", evaluation)
+    params = None if params_path is None else _load_checkpoint(params_path, config)
+    result = run_experiment(config, params=params)
+    model.save_params(result.params, out / "checkpoint.txt")
+    write_metrics_jsonl(out / "metrics.jsonl", result.metrics)
+    localize.write_detections(out / "detections.tsv", result.detections)
+    write_map_csv(out / "map.csv", result.evaluation)
 
 
 def _cmd_evaluate(config: ExperimentConfig, out: Path, params_path, detections_path) -> None:
-    benchmark = datagen.generate_benchmark(config)
+    params = None
     if detections_path is not None:
         if not Path(detections_path).is_file():
             raise MissingArtifactError(detections_path, "detections file")
         detections = localize.load_detections(detections_path)
     elif params_path is not None:
-        if not Path(params_path).is_file():
-            raise MissingArtifactError(params_path, "model checkpoint")
-        params = model.load_params(
-            params_path, config.model_input_dim, config.hidden_width, config.label_count
-        )
-        detections = localize.detect_videos(params, benchmark.test, config)
-        localize.write_detections(out / "detections.tsv", detections)
+        params = _load_checkpoint(params_path, config)
     else:
         raise _UsageError("evaluate needs --params or --detections")
+    benchmark = datagen.generate_benchmark(config)
+    if params is not None:
+        detections = localize.detect_videos(params, benchmark.test, config)
+        localize.write_detections(out / "detections.tsv", detections)
     result = localize.mean_average_precision(
         detections, localize.ground_truth_map(benchmark.test), config.tiou_grid
     )
     write_map_csv(out / "map.csv", result)
 
 
-def _seed_list(config: ExperimentConfig, count: int) -> List[int]:
-    return [config.seed + i for i in range(count)]
-
-
-def _cmd_ablate_losses(config: ExperimentConfig, out: Path, seeds: int) -> None:
-    objectives = ("target-only", "target-negative", "hybrid")
-    rows = []
-    means = {}
-    for objective in objectives:
-        values = []
-        for seed in _seed_list(config, seeds):
-            result = run_experiment(config.replace(objective=objective, seed=seed))
-            rows.append([objective, seed, result.evaluation.average_map])
-            values.append(result.evaluation.average_map)
-        means[objective] = float(np.mean(values))
-    for objective in objectives:
-        rows.append([objective, "mean", means[objective]])
-    write_csv(out / "loss_ablation.csv", ("objective", "seed", "average_map"), rows)
-
-
-def _cmd_ablate_lambda(config: ExperimentConfig, out: Path, seeds: int, grid: Sequence[float]) -> None:
-    rows = []
-    for lam in grid:
-        values = []
-        for seed in _seed_list(config, seeds):
-            result = run_experiment(
-                config.replace(positive_confidence_ratio=float(lam), seed=seed, objective="hybrid")
-            )
-            rows.append([f"{lam:g}", seed, result.evaluation.average_map])
-            values.append(result.evaluation.average_map)
-        rows.append([f"{lam:g}", "mean", float(np.mean(values))])
-    write_csv(out / "lambda_sweep.csv", ("lambda", "seed", "average_map"), rows)
-
-
-def _cmd_compare_baselines(config: ExperimentConfig, out: Path, seeds: int) -> None:
-    objectives = ("soft-pseudo", "complementary", "hybrid")
-    rows = []
-    for objective in objectives:
-        values = []
-        for seed in _seed_list(config, seeds):
-            result = run_experiment(config.replace(objective=objective, seed=seed))
-            rows.append([objective, seed, result.evaluation.average_map])
-            values.append(result.evaluation.average_map)
-        rows.append([objective, "mean", float(np.mean(values))])
-    write_csv(out / "baselines.csv", ("objective", "seed", "average_map"), rows)
-
-
 def _cmd_subspace_audit(config: ExperimentConfig, out: Path) -> None:
     benchmark = datagen.generate_benchmark(config)
-    params = selftrain.pretrain(benchmark.labeled, config)
+    params, _ = _train(config, benchmark)
     sealed = selftrain.sealed_label_map(benchmark, config)
-    params, _ = selftrain.self_train_loop(
-        params, benchmark.labeled, benchmark.unlabeled, config, sealed_labels=sealed
-    )
-    annotated = selftrain.assign_pseudo_labels(params, benchmark.unlabeled, config)
-    stats = selftrain.subspace_statistics(annotated, sealed)
+    pool = selftrain.build_unlabeled_pool(benchmark.unlabeled, config, sealed)
+    if not pool.size:
+        raise selftrain.MissingGroundTruthError("no annotated snippets")
+    ann = selftrain.assign_annotation(params, pool.features, config)
+    if ann.soft is not None:
+        raise losses.UnresolvedSupervisionError(
+            f"objective {config.objective} assigns no label-space partition"
+        )
+    stats = selftrain._subspace_from_arrays(ann, pool.true_labels)
     rows = [
         ["target", stats.target_rate],
         ["positive", stats.positive_rate],
@@ -422,11 +404,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "evaluate":
             _cmd_evaluate(config, out, args.params, args.detections)
         elif args.command == "ablate-losses":
-            _cmd_ablate_losses(config, out, args.seeds)
+            variants = [(o, {"objective": o}) for o in ("target-only", "target-negative", "hybrid")]
+            _sweep(config, out, "loss_ablation.csv", "objective", variants, args.seeds)
         elif args.command == "ablate-lambda":
-            _cmd_ablate_lambda(config, out, args.seeds, args.grid)
+            variants = [
+                (f"{lam:g}", {"positive_confidence_ratio": float(lam), "objective": "hybrid"})
+                for lam in args.grid
+            ]
+            _sweep(config, out, "lambda_sweep.csv", "lambda", variants, args.seeds)
         elif args.command == "compare-baselines":
-            _cmd_compare_baselines(config, out, args.seeds)
+            variants = [(o, {"objective": o}) for o in ("soft-pseudo", "complementary", "hybrid")]
+            _sweep(config, out, "baselines.csv", "objective", variants, args.seeds)
         elif args.command == "subspace-audit":
             _cmd_subspace_audit(config, out)
         write_manifest(out, config, args.command, time.perf_counter() - started)

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from pntal import cli, datagen, localize
+from pntal import cli, datagen, localize, selftrain
 from pntal.core import BadConfigError
 from pntal.cli import (
     MissingArtifactError,
@@ -31,6 +32,20 @@ def tiny_config_file(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text(TINY)
     return str(path)
+
+
+@pytest.fixture
+def generate_calls(monkeypatch):
+    """Seeds of every datagen.generate_benchmark call made from here on."""
+    calls = []
+    real = datagen.generate_benchmark
+
+    def counted(config):
+        calls.append(config.seed)
+        return real(config)
+
+    monkeypatch.setattr(datagen, "generate_benchmark", counted)
+    return calls
 
 
 class TestConfigParsing:
@@ -84,10 +99,15 @@ class TestExitCodes:
         bad.write_text("labeled_ratio = 0\n")
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
-    def test_missing_artifact(self, tmp_path, capsys):
-        assert main([
-            "evaluate", "--params", str(tmp_path / "missing.txt"), "--out", str(tmp_path / "o"),
-        ]) == 2
+    def test_missing_artifact(self, tmp_path, capsys, generate_calls):
+        missing = str(tmp_path / "missing.txt")
+        for command in (
+            ["evaluate", "--params", missing],
+            ["evaluate", "--detections", missing],
+            ["selftrain", "--params", missing],
+        ):
+            assert main(command + ["--out", str(tmp_path / "o")]) == 2
+        assert generate_calls == []  # reported before any dataset is built
 
     def test_evaluate_needs_source(self, tmp_path, capsys):
         assert main(["evaluate", "--out", str(tmp_path / "o")]) == 1
@@ -152,7 +172,12 @@ class TestSelftrainCommand:
         st_out = tmp_path / "st"
         assert main(["selftrain", "--config", tiny_config_file,
                      "--params", str(pre_out / "checkpoint.txt"), "--out", str(st_out)]) == 0
-        assert (st_out / "checkpoint.txt").is_file()
+        # Starting from the same config's pretrain checkpoint is the same run
+        # as pretraining in place.
+        plain_out = tmp_path / "plain"
+        assert main(["selftrain", "--config", tiny_config_file, "--out", str(plain_out)]) == 0
+        for name in ("metrics.jsonl", "map.csv", "detections.tsv", "checkpoint.txt"):
+            assert (st_out / name).read_bytes() == (plain_out / name).read_bytes()
 
 
 class TestSweeps:
@@ -192,6 +217,67 @@ class TestSweeps:
         assert labels[:4] == ["target", "positive", "ambiguous", "negative"]
         values = [float(row.split(",")[1]) for row in rows[1:5]]
         assert sum(values) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("objective", ["hybrid", "complementary"])
+    def test_subspace_audit_matches_annotated_videos(self, tiny_config_file, tmp_path, objective):
+        out = tmp_path / "sub"
+        assert main(["subspace-audit", "--config", tiny_config_file, "--objective", objective,
+                     "--out", str(out)]) == 0
+        config = load_config(tiny_config_file, {"objective": objective})
+        bench = datagen.generate_benchmark(config)
+        sealed = selftrain.sealed_label_map(bench, config)
+        params = selftrain.pretrain(bench.labeled, config)
+        params, _ = selftrain.self_train_loop(
+            params, bench.labeled, bench.unlabeled, config, sealed_labels=sealed
+        )
+        stats = selftrain.subspace_statistics(
+            selftrain.assign_pseudo_labels(params, bench.unlabeled, config), sealed
+        )
+        want = [
+            ("target", stats.target_rate),
+            ("positive", stats.positive_rate),
+            ("ambiguous", stats.ambiguous_rate),
+            ("negative", stats.negative_rate),
+            ("positive_given_miss", stats.positive_rate_given_miss),
+            ("ambiguous_given_miss", stats.ambiguous_rate_given_miss),
+            ("negative_given_miss", stats.negative_rate_given_miss),
+            ("snippet_count", stats.snippet_count),
+        ]
+        rows = (out / "subspace.csv").read_text().strip().splitlines()
+        assert rows[1:] == [f"{name},{value!r}" for name, value in want]
+
+    def test_subspace_audit_rejects_soft_pseudo(self, tiny_config_file, tmp_path, capsys):
+        assert main(["subspace-audit", "--config", tiny_config_file, "--objective", "soft-pseudo",
+                     "--out", str(tmp_path / "sub")]) == 2
+
+    @pytest.mark.parametrize("command,filename,extra,variants", [
+        ("ablate-losses", "loss_ablation.csv", [],
+         [(o, {"objective": o}) for o in ("target-only", "target-negative", "hybrid")]),
+        ("ablate-lambda", "lambda_sweep.csv", ["--grid", "0.8", "0.85"],
+         [(lam, {"positive_confidence_ratio": float(lam), "objective": "hybrid"})
+          for lam in ("0.8", "0.85")]),
+        ("compare-baselines", "baselines.csv", [],
+         [(o, {"objective": o}) for o in ("soft-pseudo", "complementary", "hybrid")]),
+    ], ids=["ablate-losses", "ablate-lambda", "compare-baselines"])
+    def test_sweep_shares_each_seeds_dataset(
+        self, tiny_config_file, tmp_path, generate_calls, command, filename, extra, variants
+    ):
+        out = tmp_path / "sweep"
+        assert main([command, "--config", tiny_config_file, "--out", str(out),
+                     "--seeds", "2"] + extra) == 0
+        assert generate_calls == [5, 6]  # one dataset per seed, not per (variant, seed)
+        rows = [row.split(",") for row in (out / filename).read_text().strip().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [
+            [label, seed] for label, _ in variants for seed in ("5", "6", "mean")
+        ]
+        config = load_config(tiny_config_file, {})
+        for i, (_, overrides) in enumerate(variants):
+            seed_rows = rows[3 * i : 3 * i + 2]
+            for seed, row in zip((5, 6), seed_rows):
+                alone = run_experiment(config.replace(seed=seed, **overrides))
+                assert float(row[2]) == alone.evaluation.average_map
+            mean_row = rows[3 * i + 2]
+            assert float(mean_row[2]) == float(np.mean([float(row[2]) for row in seed_rows]))
 
 
 class TestOutputRoot:
