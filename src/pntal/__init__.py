@@ -4,13 +4,7 @@ from .core import (
     ActionInstance,
     ClassDistribution,
     ExperimentConfig,
-    GroundTruth,
     LabelPartition,
-    Pseudo,
-    Snippet,
-    SnippetBatch,
-    SoftPseudo,
-    Unlabeled,
     VideoRecord,
     make_distribution,
     softmax,
@@ -21,13 +15,7 @@ __all__ = [
     "ActionInstance",
     "ClassDistribution",
     "ExperimentConfig",
-    "GroundTruth",
     "LabelPartition",
-    "Pseudo",
-    "Snippet",
-    "SnippetBatch",
-    "SoftPseudo",
-    "Unlabeled",
     "VideoRecord",
     "make_distribution",
     "softmax",

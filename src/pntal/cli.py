@@ -295,6 +295,10 @@ def _cmd_evaluate(config: ExperimentConfig, out: Path, params_path, detections_p
 
 
 def _cmd_subspace_audit(config: ExperimentConfig, out: Path) -> None:
+    if config.objective == "soft-pseudo":
+        raise losses.UnresolvedSupervisionError(
+            f"objective {config.objective} assigns no label-space partition"
+        )
     benchmark = datagen.generate_benchmark(config)
     params, _ = _train(config, benchmark)
     sealed = selftrain.sealed_label_map(benchmark, config)
@@ -302,11 +306,7 @@ def _cmd_subspace_audit(config: ExperimentConfig, out: Path) -> None:
     if not pool.size:
         raise selftrain.MissingGroundTruthError("no annotated snippets")
     ann = selftrain.assign_annotation(params, pool.features, config)
-    if ann.soft is not None:
-        raise losses.UnresolvedSupervisionError(
-            f"objective {config.objective} assigns no label-space partition"
-        )
-    stats = selftrain._subspace_from_arrays(ann, pool.true_labels)
+    stats = selftrain.subspace_statistics(ann, pool.true_labels)
     rows = [
         ["target", stats.target_rate],
         ["positive", stats.positive_rate],
@@ -328,6 +328,17 @@ def _cmd_subspace_audit(config: ExperimentConfig, out: Path) -> None:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _seed_count(raw: str) -> int:
+    """A sweep's --seeds: at least one seed."""
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
+    return count
 
 
 def _add_common(sub):
@@ -358,17 +369,15 @@ def _build_parser() -> _Parser:
     _add_common(ev)
     ev.add_argument("--params", help="model checkpoint to evaluate")
     ev.add_argument("--detections", help="detection dump to evaluate instead of a model")
-    for name in ("ablate-losses", "compare-baselines"):
+    for name in ("ablate-losses", "ablate-lambda", "compare-baselines"):
         sweep = subs.add_parser(name)
         _add_common(sweep)
-        sweep.add_argument("--seeds", type=int, default=5, help="number of consecutive seeds")
-    al = subs.add_parser("ablate-lambda")
-    _add_common(al)
-    al.add_argument("--seeds", type=int, default=5)
-    al.add_argument(
-        "--grid", type=float, nargs="+", default=list(LAMBDA_GRID_DEFAULT),
-        help="lambda values to sweep",
-    )
+        sweep.add_argument("--seeds", type=_seed_count, default=5, help="number of consecutive seeds")
+        if name == "ablate-lambda":
+            sweep.add_argument(
+                "--grid", type=float, nargs="+", default=list(LAMBDA_GRID_DEFAULT),
+                help="lambda values to sweep",
+            )
     return parser
 
 

@@ -1,4 +1,4 @@
-"""Shared domain types: distributions, label partitions, snippets, videos, config.
+"""Shared domain types: distributions, label partitions, videos, config.
 
 Class ids are 1-based throughout the public API: action classes are 1..C and
 the background class is C+1. Probability vectors are plain float64 numpy
@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,62 +162,6 @@ class LabelPartition:
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    """Supervision from an annotated video: the true class of the snippet."""
-
-    class_idx: int
-
-
-@dataclass(frozen=True)
-class Pseudo:
-    """Supervision synthesized by the current model: hard target + partition."""
-
-    class_idx: int
-    partition: LabelPartition
-
-    def __post_init__(self):
-        if self.partition.target != self.class_idx:
-            raise ValueError("pseudo class_idx must equal partition.target")
-
-
-@dataclass(frozen=True, eq=False)
-class SoftPseudo:
-    """Soft pseudo-label: the full (sharpened) predicted distribution."""
-
-    soft_label: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_float_vector(self.soft_label)
-        object.__setattr__(self, "soft_label", arr)
-        arr.flags.writeable = False
-
-    @property
-    def class_idx(self) -> int:
-        return int(np.argmax(self.soft_label)) + 1
-
-
-@dataclass(frozen=True)
-class Unlabeled:
-    """No supervision assigned yet; must be resolved before loss computation."""
-
-
-Supervision = Union[GroundTruth, Pseudo, SoftPseudo, Unlabeled]
-
-
-@dataclass(frozen=True, eq=False)
-class Snippet:
-    feature: np.ndarray
-    supervision: Supervision = field(default_factory=Unlabeled)
-
-    def __post_init__(self):
-        feat = _as_float_vector(self.feature)
-        object.__setattr__(self, "feature", feat)
-        if not np.all(np.isfinite(feat)):
-            raise NonFiniteError("snippet feature must be finite")
-        feat.flags.writeable = False
-
-
-@dataclass(frozen=True)
 class ActionInstance:
     """One action occurrence as an inclusive snippet span."""
 
@@ -239,17 +183,32 @@ class ActionInstance:
         return self.end - self.start + 1
 
 
+class _SnippetRow(NamedTuple):
+    feature: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class VideoRecord:
+    """One video: a read-only (N, d) float64 feature array plus its instances.
+
+    Construction copies the features once and validates them: 2-D and finite.
+    """
+
     video_id: str
-    snippets: tuple
+    features: np.ndarray
     instances: tuple
     labeled: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "snippets", tuple(self.snippets))
+        features = np.array(self.features, dtype=np.float64)
+        if features.ndim != 2:
+            raise ValueError(f"video {self.video_id}: features must be 2-D, got shape {features.shape}")
+        if not np.all(np.isfinite(features)):
+            raise NonFiniteError(f"video {self.video_id}: features must be finite")
+        features.flags.writeable = False
+        object.__setattr__(self, "features", features)
         object.__setattr__(self, "instances", tuple(self.instances))
-        n = len(self.snippets)
+        n = len(features)
         ordered = sorted(self.instances, key=lambda inst: inst.start)
         prev_end = -1
         for inst in ordered:
@@ -263,24 +222,16 @@ class VideoRecord:
 
     @property
     def snippet_count(self) -> int:
-        return len(self.snippets)
+        return len(self.features)
 
+    @property
+    def snippets(self) -> tuple:
+        """Row views exposing ``.feature``, built on each access and stored nowhere.
 
-@dataclass(frozen=True, eq=False)
-class SnippetBatch:
-    """Snippets plus optional per-snippet foreground targets for the mask head."""
-
-    snippets: tuple
-    mask_targets: tuple = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "snippets", tuple(self.snippets))
-        if self.mask_targets is None:
-            object.__setattr__(self, "mask_targets", tuple(None for _ in self.snippets))
-        else:
-            object.__setattr__(self, "mask_targets", tuple(self.mask_targets))
-        if len(self.mask_targets) != len(self.snippets):
-            raise ValueError("mask_targets length must match snippets length")
+        Kept only for the benchmark's video fingerprint (``perfbench/workloads.py``);
+        everything else reads ``features``.
+        """
+        return tuple(_SnippetRow(row) for row in self.features)
 
 
 OBJECTIVES = ("hybrid", "target-only", "target-negative", "soft-pseudo", "complementary")

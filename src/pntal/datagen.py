@@ -31,16 +31,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .core import (
-    ActionInstance,
-    Error,
-    ExperimentConfig,
-    GroundTruth,
-    Snippet,
-    Unlabeled,
-    VideoRecord,
-    snippet_true_labels,
-)
+from .core import ActionInstance, Error, ExperimentConfig, VideoRecord
 
 MAX_INSTANCES = 5
 MIN_DURATION = 8
@@ -81,10 +72,6 @@ class Benchmark:
     unlabeled: tuple
     test: tuple
     sealed: dict  # video_id -> tuple[ActionInstance], never exposed to training
-
-    def sealed_labels(self, video: VideoRecord, class_count: int) -> np.ndarray:
-        instances = self.sealed[video.video_id]
-        return snippet_true_labels(instances, video.snippet_count, class_count + 1)
 
 
 PROTOTYPE_GROUP_SIZE = 2
@@ -242,14 +229,9 @@ def _make_video(video_id, rng, protos, config, labeled: bool):
         if rng.random() < config.distractor_ratio:
             cls = int(rng.integers(1, config.class_count + 1))
             features[start : end + 1] += rng.uniform(*DISTRACTOR_RANGE) * protos[cls - 1]
-    labels = snippet_true_labels(instances, n, config.background_index)
-    snippets = tuple(
-        Snippet(feature=features[i], supervision=GroundTruth(int(labels[i])) if labeled else Unlabeled())
-        for i in range(n)
-    )
     record = VideoRecord(
         video_id=video_id,
-        snippets=snippets,
+        features=features,
         instances=tuple(instances) if labeled else (),
         labeled=labeled,
     )
@@ -316,13 +298,12 @@ def write_feature_file(path, videos, class_count: int, feature_dim: int) -> None
             fh.write(_VIDEO_META.pack(video.snippet_count, 1 if video.labeled else 0, len(video.instances)))
             for inst in video.instances:
                 fh.write(_INSTANCE.pack(inst.start, inst.end, inst.class_idx, inst.score))
-            values = np.stack([s.feature for s in video.snippets]) if video.snippets else np.zeros((0, feature_dim))
-            if values.shape != (video.snippet_count, feature_dim):
+            if video.features.shape[1] != feature_dim:
                 raise ShapeMismatchError(
-                    f"video {video.video_id}: features {values.shape} != "
+                    f"video {video.video_id}: features {video.features.shape} != "
                     f"({video.snippet_count}, {feature_dim})"
                 )
-            flat = np.ascontiguousarray(values, dtype="<f8").ravel()
+            flat = np.ascontiguousarray(video.features, dtype="<f8").ravel()
             fh.write(_VALUE_COUNT.pack(flat.size))
             fh.write(flat.tobytes())
 
@@ -330,11 +311,11 @@ def write_feature_file(path, videos, class_count: int, feature_dim: int) -> None
 class _Reader:
     def __init__(self, path):
         with open(path, "rb") as fh:
-            self.data = fh.read()
+            self.data = memoryview(fh.read())  # slices are views, not copies
         self.offset = 0
         self.path = path
 
-    def take(self, n: int, context: str) -> bytes:
+    def take(self, n: int, context: str) -> memoryview:
         if self.offset + n > len(self.data):
             raise CorruptRecordError(
                 f"{self.path}: truncated while reading {context} at byte offset {self.offset}"
@@ -348,17 +329,30 @@ class _Reader:
 
 
 def load_feature_file(path) -> List[VideoRecord]:
-    """Read a feature container back into VideoRecords, validating invariants."""
+    """Read a feature container back into VideoRecords, validating invariants.
+
+    Any corruption raises this module's errors (CorruptRecordError names the
+    byte offset or the video).
+    """
     reader = _Reader(path)
     magic, version, feature_dim, class_count, video_count = reader.unpack(_HEADER, "header")
     if magic != MAGIC:
         raise BadMagicError(f"{path}: bad magic {magic!r}")
     if version != CONTAINER_VERSION:
         raise VersionMismatchError(f"{path}: unsupported container version {version}")
+    if feature_dim < 1:
+        # Zero-width rows would let any snippet count load from no bytes.
+        raise CorruptRecordError(f"{path}: feature dimension {feature_dim} in header")
     videos = []
     for v in range(video_count):
         (id_len,) = reader.unpack(_VIDEO_HEAD, f"video #{v} id length")
-        video_id = reader.take(id_len, f"video #{v} id").decode("utf-8")
+        id_offset = reader.offset
+        try:
+            video_id = str(reader.take(id_len, f"video #{v} id"), "utf-8")
+        except UnicodeDecodeError:
+            raise CorruptRecordError(
+                f"{path}: video #{v} id is not UTF-8 at byte offset {id_offset}"
+            ) from None
         n_snippets, labeled, instance_count = reader.unpack(_VIDEO_META, f"video {video_id} metadata")
         instances = []
         for j in range(instance_count):
@@ -367,7 +361,10 @@ def load_feature_file(path) -> List[VideoRecord]:
                 raise CorruptRecordError(
                     f"{path}: video {video_id} instance #{j} class {cls} exceeds class count {class_count}"
                 )
-            instances.append(ActionInstance(start=start, end=end, class_idx=cls, score=score))
+            try:
+                instances.append(ActionInstance(start=start, end=end, class_idx=cls, score=score))
+            except ValueError as exc:
+                raise CorruptRecordError(f"{path}: video {video_id} instance #{j}: {exc}") from exc
         (value_count,) = reader.unpack(_VALUE_COUNT, f"video {video_id} value count")
         if value_count != n_snippets * feature_dim:
             raise ShapeMismatchError(
@@ -376,23 +373,8 @@ def load_feature_file(path) -> List[VideoRecord]:
             )
         raw = reader.take(8 * value_count, f"video {video_id} features")
         features = np.frombuffer(raw, dtype="<f8").reshape(n_snippets, feature_dim)
-        labels = snippet_true_labels(instances, n_snippets, class_count + 1)
-        snippets = tuple(
-            Snippet(
-                feature=features[i].copy(),
-                supervision=GroundTruth(int(labels[i])) if labeled else Unlabeled(),
-            )
-            for i in range(n_snippets)
-        )
         try:
-            videos.append(
-                VideoRecord(
-                    video_id=video_id,
-                    snippets=snippets,
-                    instances=tuple(instances),
-                    labeled=bool(labeled),
-                )
-            )
+            videos.append(VideoRecord(video_id, features, tuple(instances), bool(labeled)))
         except ValueError as exc:
             raise CorruptRecordError(f"{path}: {exc}") from exc
     if reader.offset != len(reader.data):

@@ -10,19 +10,11 @@ gradients agree with finite differences of the clamped losses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .core import (
-    ClassDistribution,
-    Error,
-    GroundTruth,
-    Pseudo,
-    SnippetBatch,
-    SoftPseudo,
-    Unlabeled,
-)
+from .core import ClassDistribution, Error
 
 CLAMP = 1e-12
 
@@ -237,87 +229,3 @@ def batch_terms(arrays: BatchArrays, alpha: float, normalize_sets: bool = False)
         total=total,
     )
     return breakdown, grad, grad_mask
-
-
-def arrays_from_batch(
-    batch: SnippetBatch,
-    dists: Sequence[ClassDistribution],
-    mask_scores,
-    labeled_negative: bool,
-) -> BatchArrays:
-    """Build the array view of a batch from supervision objects."""
-    n = len(batch.snippets)
-    if len(dists) != n:
-        raise LengthMismatchError("one distribution per snippet required")
-    scores = np.asarray(mask_scores, dtype=np.float64)
-    if scores.shape != (n,):
-        raise LengthMismatchError("one mask score per snippet required")
-    k = dists[0].label_count if n else 0
-    probs = np.zeros((n, k))
-    labeled = np.zeros(n, dtype=bool)
-    targets = np.zeros(n, dtype=np.int64)
-    neg_mask = np.zeros((n, k), dtype=bool)
-    pos_mask = np.zeros((n, k), dtype=bool)
-    soft = None
-    mask_targets = np.full(n, np.nan)
-
-    for i, (snippet, dist) in enumerate(zip(batch.snippets, dists)):
-        probs[i] = dist.probs
-        sup = snippet.supervision
-        if batch.mask_targets[i] is not None:
-            mask_targets[i] = float(batch.mask_targets[i])
-        if isinstance(sup, GroundTruth):
-            labeled[i] = True
-            targets[i] = sup.class_idx
-            if labeled_negative:
-                neg_mask[i] = True
-                neg_mask[i, sup.class_idx - 1] = False
-        elif isinstance(sup, Pseudo):
-            targets[i] = sup.class_idx
-            for c in sup.partition.negatives:
-                neg_mask[i, c - 1] = True
-            for c in sup.partition.positives:
-                pos_mask[i, c - 1] = True
-        elif isinstance(sup, SoftPseudo):
-            if soft is None:
-                soft = np.full((n, k), np.nan)
-            soft[i] = sup.soft_label
-            targets[i] = sup.class_idx
-        elif isinstance(sup, Unlabeled):
-            raise UnresolvedSupervisionError(
-                f"snippet {i} is unlabeled; assign pseudo supervision before loss computation"
-            )
-        else:
-            raise UnresolvedSupervisionError(f"unknown supervision {type(sup).__name__}")
-    return BatchArrays(
-        probs=probs,
-        mask_scores=scores,
-        labeled=labeled,
-        targets=targets,
-        neg_mask=neg_mask,
-        pos_mask=pos_mask,
-        mask_targets=mask_targets,
-        soft=soft,
-    )
-
-
-def combined_loss(
-    batch: SnippetBatch,
-    dists: Sequence[ClassDistribution],
-    mask_scores,
-    config,
-    labeled_negative: Optional[bool] = None,
-) -> LossBreakdown:
-    """Batch loss per the active objective.
-
-    Ground-truth snippets contribute target CE plus (objective permitting)
-    negative loss over all non-target classes; pseudo-labeled snippets
-    contribute their partition losses, weighted by the unsupervised weight.
-    """
-    if labeled_negative is None:
-        labeled_negative = config.objective in ("hybrid", "target-negative")
-    arrays = arrays_from_batch(batch, dists, mask_scores, labeled_negative)
-    breakdown, _, _ = batch_terms(
-        arrays, alpha=config.unlabeled_loss_weight, normalize_sets=config.normalize_set_losses
-    )
-    return breakdown

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ClassDistribution, Error, softmax_rows
+from .core import Error, softmax_rows
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -153,16 +153,6 @@ def forward_batch(params: ModelParams, features: np.ndarray):
     return probs, scores, cache
 
 
-def forward(params: ModelParams, feature):
-    """Single-snippet forward: (ClassDistribution, mask score, cache)."""
-    x = np.asarray(feature, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeMismatchError(f"expected a feature vector, got shape {x.shape}")
-    probs, scores, cache = forward_batch(params, x[None, :])
-    dist = ClassDistribution(probs[0], class_count=params.label_count - 1)
-    return dist, float(scores[0]), cache
-
-
 def backward_batch(cache: ForwardCache, grad_logits: np.ndarray, grad_mask: np.ndarray) -> ParamGrads:
     """Exact gradients of the cached forward pass.
 
@@ -193,12 +183,6 @@ def backward_batch(cache: ForwardCache, grad_logits: np.ndarray, grad_mask: np.n
     grads.trunk_w = cache.features.T @ dz1
     grads.trunk_b = dz1.sum(axis=0)
     return grads
-
-
-def backward(cache: ForwardCache, grad_logits, grad_mask: float) -> ParamGrads:
-    """Single-snippet backward matching forward()."""
-    gl = np.asarray(grad_logits, dtype=np.float64)
-    return backward_batch(cache, gl[None, :], np.asarray([grad_mask], dtype=np.float64))
 
 
 @dataclass(eq=False)

@@ -31,10 +31,6 @@ from .core import (
     ClassDistribution,
     Error,
     ExperimentConfig,
-    LabelPartition,
-    Pseudo,
-    Snippet,
-    SoftPseudo,
     VideoRecord,
     snippet_true_labels,
 )
@@ -55,11 +51,12 @@ class MissingGroundTruthError(Error, KeyError):
 
 
 def video_feature_matrix(video: VideoRecord, window: int = 0) -> np.ndarray:
-    """Stack snippet features, optionally concatenating a +-window context.
+    """The video's features, optionally concatenating a +-window context.
 
+    Window 0 returns the video's read-only array itself, uncopied.
     Out-of-range context positions contribute zero vectors.
     """
-    base = np.stack([s.feature for s in video.snippets])
+    base = video.features
     if window == 0:
         return base
     n, d = base.shape
@@ -247,43 +244,6 @@ def assign_annotation(
     return PseudoAnnotation(targets=targets, neg_mask=neg_mask, pos_mask=pos_mask, soft=None)
 
 
-def _partition_from_masks(target: int, neg_row: np.ndarray, pos_row: np.ndarray) -> LabelPartition:
-    label_count = len(neg_row)
-    negatives = frozenset(int(c) + 1 for c in np.nonzero(neg_row)[0])
-    positives = frozenset(int(c) + 1 for c in np.nonzero(pos_row)[0])
-    ambiguous = frozenset(
-        c for c in range(1, label_count + 1) if c != target and c not in negatives and c not in positives
-    )
-    return LabelPartition(target=target, positives=positives, negatives=negatives, ambiguous=ambiguous)
-
-
-def assign_pseudo_labels(
-    params: model.ModelParams,
-    unlabeled_videos: Sequence[VideoRecord],
-    config: ExperimentConfig,
-    epoch: int = 0,
-) -> List[VideoRecord]:
-    """Annotate unlabeled videos with pseudo supervision; inputs are unchanged."""
-    out = []
-    for video in unlabeled_videos:
-        features = video_feature_matrix(video, config.feature_window)
-        ann = assign_annotation(params, features, config, epoch=epoch)
-        snippets = []
-        for i, snippet in enumerate(video.snippets):
-            if ann.soft is not None:
-                sup = SoftPseudo(soft_label=ann.soft[i])
-            else:
-                sup = Pseudo(
-                    class_idx=int(ann.targets[i]),
-                    partition=_partition_from_masks(int(ann.targets[i]), ann.neg_mask[i], ann.pos_mask[i]),
-                )
-            snippets.append(Snippet(feature=snippet.feature, supervision=sup))
-        out.append(
-            VideoRecord(video_id=video.video_id, snippets=tuple(snippets), instances=(), labeled=False)
-        )
-    return out
-
-
 @dataclass(frozen=True)
 class SubspaceStats:
     """Where the hidden true class lands across the four subspaces."""
@@ -301,12 +261,16 @@ class SubspaceStats:
         return (self.target_rate, self.positive_rate, self.negative_rate, self.ambiguous_rate)
 
 
-def _subspace_from_arrays(ann: PseudoAnnotation, true_labels: np.ndarray) -> SubspaceStats:
+def subspace_statistics(annotation: PseudoAnnotation, true_labels: np.ndarray) -> SubspaceStats:
+    """Where the true class of each annotated row lands in its partition.
+
+    The four rates cover the whole label space, so they sum to one.
+    """
     n = len(true_labels)
     rows = np.arange(n)
-    hit = true_labels == ann.targets
-    in_neg = ann.neg_mask[rows, true_labels - 1]
-    in_pos = ann.pos_mask[rows, true_labels - 1]
+    hit = true_labels == annotation.targets
+    in_neg = annotation.neg_mask[rows, true_labels - 1]
+    in_pos = annotation.pos_mask[rows, true_labels - 1]
     in_amb = ~hit & ~in_neg & ~in_pos
     miss = ~hit
     n_miss = int(miss.sum())
@@ -324,47 +288,6 @@ def _subspace_from_arrays(ann: PseudoAnnotation, true_labels: np.ndarray) -> Sub
         negative_rate_given_miss=rate(in_neg & miss, n_miss),
         snippet_count=n,
     )
-
-
-def subspace_statistics(
-    annotated_videos: Sequence[VideoRecord],
-    sealed_labels: Mapping[str, np.ndarray],
-) -> SubspaceStats:
-    """Ground-truth location frequencies over pseudo-annotated snippets.
-
-    The four rates cover the whole label space, so they sum to one.
-    """
-    targets, negs, poss, truths = [], [], [], []
-    for video in annotated_videos:
-        if video.video_id not in sealed_labels:
-            raise MissingGroundTruthError(video.video_id)
-        true = np.asarray(sealed_labels[video.video_id], dtype=np.int64)
-        for i, snippet in enumerate(video.snippets):
-            sup = snippet.supervision
-            if not isinstance(sup, Pseudo):
-                raise losses.UnresolvedSupervisionError(
-                    f"snippet {i} of {video.video_id} lacks a pseudo partition"
-                )
-            k = sup.partition.label_count
-            neg_row = np.zeros(k, dtype=bool)
-            pos_row = np.zeros(k, dtype=bool)
-            for c in sup.partition.negatives:
-                neg_row[c - 1] = True
-            for c in sup.partition.positives:
-                pos_row[c - 1] = True
-            targets.append(sup.class_idx)
-            negs.append(neg_row)
-            poss.append(pos_row)
-            truths.append(true[i])
-    if not targets:
-        raise MissingGroundTruthError("no annotated snippets")
-    ann = PseudoAnnotation(
-        targets=np.asarray(targets, dtype=np.int64),
-        neg_mask=np.stack(negs),
-        pos_mask=np.stack(poss),
-        soft=None,
-    )
-    return _subspace_from_arrays(ann, np.asarray(truths, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -525,7 +448,7 @@ def self_train_loop(
         if unlabeled_pool.true_labels is not None and unlabeled_pool.size:
             pseudo_accuracy = float((ann.targets == unlabeled_pool.true_labels).mean())
             if ann.soft is None:
-                subspace = _subspace_from_arrays(ann, unlabeled_pool.true_labels)
+                subspace = subspace_statistics(ann, unlabeled_pool.true_labels)
 
         lab_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_LABELED, epoch]))
         uns_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_UNLABELED, epoch]))

@@ -293,7 +293,7 @@ def test_criterion_5_subspace_audit(matrix):
     pool = build_unlabeled_pool(bench.unlabeled, config, sealed)
     params = matrix["results"]["hybrid-seed0"].params
     ann = assign_annotation(params, pool.features, config)
-    stats = selftrain._subspace_from_arrays(ann, pool.true_labels)
+    stats = selftrain.subspace_statistics(ann, pool.true_labels)
     passed = (
         stats.negative_rate < 0.05
         and stats.positive_rate_given_miss > stats.ambiguous_rate_given_miss

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pntal import cli, datagen, localize, selftrain
+from pntal import cli, datagen, localize, model, selftrain
 from pntal.core import BadConfigError
 from pntal.cli import (
     MissingArtifactError,
@@ -11,6 +11,8 @@ from pntal.cli import (
     parse_config_text,
     run_experiment,
 )
+
+from oracles import brute_force_negatives, brute_force_positives
 
 TINY = """
 train_video_count = 8
@@ -111,6 +113,15 @@ class TestExitCodes:
 
     def test_evaluate_needs_source(self, tmp_path, capsys):
         assert main(["evaluate", "--out", str(tmp_path / "o")]) == 1
+
+    def test_sweep_needs_a_seed(self, tmp_path, capsys, generate_calls):
+        for command in (
+            ["ablate-losses", "--seeds", "0"],
+            ["ablate-lambda", "--seeds", "0", "--grid", "0.8"],
+            ["compare-baselines", "--seeds", "-1"],
+        ):
+            assert main(command + ["--out", str(tmp_path / "o")]) == 1
+        assert generate_calls == []  # refused before any dataset is built
 
 
 class TestGenerate:
@@ -230,25 +241,48 @@ class TestSweeps:
         params, _ = selftrain.self_train_loop(
             params, bench.labeled, bench.unlabeled, config, sealed_labels=sealed
         )
-        stats = selftrain.subspace_statistics(
-            selftrain.assign_pseudo_labels(params, bench.unlabeled, config), sealed
-        )
-        want = [
-            ("target", stats.target_rate),
-            ("positive", stats.positive_rate),
-            ("ambiguous", stats.ambiguous_rate),
-            ("negative", stats.negative_rate),
-            ("positive_given_miss", stats.positive_rate_given_miss),
-            ("ambiguous_given_miss", stats.ambiguous_rate_given_miss),
-            ("negative_given_miss", stats.negative_rate_given_miss),
-            ("snippet_count", stats.snippet_count),
-        ]
+        features = np.concatenate([v.features for v in bench.unlabeled])
+        truths = [int(t) for v in bench.unlabeled for t in sealed[v.video_id]]
+        if objective == "hybrid":
+            # The brute-force partition of each sharpened row.
+            probs, _, _ = model.forward_batch(params, features)
+            sharpened = selftrain.sharpen_rows(probs, config.sharpen_temperature)
+            partitions = []
+            for row in sharpened.tolist():
+                negatives = brute_force_negatives(row)
+                positives = brute_force_positives(row, negatives, config.positive_confidence_ratio)
+                partitions.append((row.index(max(row)) + 1, negatives, positives))
+        else:
+            # The one random negative per row that the annotation drew.
+            ann = selftrain.assign_annotation(params, features, config)
+            partitions = [
+                (int(ann.targets[i]), set((np.nonzero(ann.neg_mask[i])[0] + 1).tolist()), set())
+                for i in range(len(truths))
+            ]
+        counts = dict.fromkeys(("target", "positive", "ambiguous", "negative", "miss"), 0)
+        given_miss = dict.fromkeys(("positive", "ambiguous", "negative"), 0)
+        for truth, (target, negatives, positives) in zip(truths, partitions):
+            if truth == target:
+                counts["target"] += 1
+                continue
+            where = ("negative" if truth in negatives
+                     else "positive" if truth in positives else "ambiguous")
+            counts[where] += 1
+            given_miss[where] += 1
+            counts["miss"] += 1
+        n, n_miss = len(truths), counts["miss"]
+        want = [(name, counts[name] / n) for name in ("target", "positive", "ambiguous", "negative")]
+        want += [(f"{name}_given_miss", given_miss[name] / n_miss)
+                 for name in ("positive", "ambiguous", "negative")]
+        want.append(("snippet_count", n))
         rows = (out / "subspace.csv").read_text().strip().splitlines()
         assert rows[1:] == [f"{name},{value!r}" for name, value in want]
 
-    def test_subspace_audit_rejects_soft_pseudo(self, tiny_config_file, tmp_path, capsys):
+    def test_subspace_audit_rejects_soft_pseudo(self, tiny_config_file, tmp_path, capsys,
+                                                generate_calls):
         assert main(["subspace-audit", "--config", tiny_config_file, "--objective", "soft-pseudo",
                      "--out", str(tmp_path / "sub")]) == 2
+        assert generate_calls == []  # refused before any dataset is built or model trained
 
     @pytest.mark.parametrize("command,filename,extra,variants", [
         ("ablate-losses", "loss_ablation.csv", [],

@@ -8,12 +8,9 @@ from pntal.core import (
     BadConfigError,
     EmptyVectorError,
     ExperimentConfig,
-    GroundTruth,
     LabelPartition,
     NegativeEntryError,
     NonFiniteError,
-    Pseudo,
-    Snippet,
     VideoRecord,
     ZeroMassError,
     make_distribution,
@@ -119,14 +116,12 @@ class TestLabelPartition:
 
 
 class TestSnippetTypes:
-    def test_pseudo_target_must_match(self):
-        part = LabelPartition(target=1, positives=set(), negatives={2, 3}, ambiguous=set())
-        with pytest.raises(ValueError):
-            Pseudo(class_idx=2, partition=part)
-
     def test_snippet_rejects_non_finite(self):
-        with pytest.raises(NonFiniteError):
-            Snippet(feature=np.array([1.0, float("nan")]))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(NonFiniteError) as err:
+                VideoRecord(video_id="v", features=np.array([[1.0, 2.0], [1.0, bad]]),
+                            instances=(), labeled=False)
+            assert "v" in str(err.value)
 
     def test_action_instance_validation(self):
         with pytest.raises(ValueError):
@@ -137,15 +132,28 @@ class TestSnippetTypes:
             ActionInstance(start=0, end=4, class_idx=1, score=1.5)
 
     def test_video_record_validation(self):
-        snippets = tuple(Snippet(feature=np.zeros(3), supervision=GroundTruth(1)) for _ in range(10))
-        VideoRecord(video_id="v", snippets=snippets,
+        features = np.zeros((10, 3))
+        VideoRecord(video_id="v", features=features,
                     instances=(ActionInstance(0, 3, 1), ActionInstance(5, 9, 2)), labeled=True)
         with pytest.raises(ValueError):
-            VideoRecord(video_id="v", snippets=snippets,
+            VideoRecord(video_id="v", features=features,
                         instances=(ActionInstance(0, 5, 1), ActionInstance(5, 9, 2)), labeled=True)
         with pytest.raises(ValueError):
-            VideoRecord(video_id="v", snippets=snippets,
+            VideoRecord(video_id="v", features=features,
                         instances=(ActionInstance(8, 12, 1),), labeled=True)
+        with pytest.raises(ValueError):
+            VideoRecord(video_id="v", features=np.zeros(3), instances=(), labeled=False)
+
+    def test_video_record_owns_read_only_copy(self):
+        source = np.arange(6, dtype=np.int64).reshape(3, 2)
+        video = VideoRecord(video_id="v", features=source, instances=(), labeled=False)
+        assert video.features.dtype == np.float64
+        assert video.snippet_count == 3
+        assert not video.features.flags.writeable
+        source[0, 0] = 99
+        assert video.features[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            video.features[0, 0] = 1.0
 
 
 class TestExperimentConfig:

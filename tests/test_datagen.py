@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pntal import datagen, selftrain
-from pntal.core import ExperimentConfig, snippet_true_labels
+from pntal.core import Error, ExperimentConfig, snippet_true_labels
 from pntal.datagen import (
     BadMagicError,
     CorruptRecordError,
@@ -71,9 +71,7 @@ class TestGenerateBenchmark:
         b = generate_benchmark(cfg)
         for va, vb in zip(a.labeled + a.unlabeled + a.test, b.labeled + b.unlabeled + b.test):
             assert va.video_id == vb.video_id
-            fa = np.stack([s.feature for s in va.snippets])
-            fb = np.stack([s.feature for s in vb.snippets])
-            assert fa.tobytes() == fb.tobytes()
+            assert va.features.tobytes() == vb.features.tobytes()
 
     def test_full_labeled_ratio(self):
         bench = generate_benchmark(small_config(labeled_ratio=1.0))
@@ -87,12 +85,14 @@ class TestGenerateBenchmark:
         assert len(bench.test) == 4
 
     def test_sealed_channel_only_for_unlabeled(self):
-        bench = generate_benchmark(small_config(labeled_ratio=0.25))
+        cfg = small_config(labeled_ratio=0.25)
+        bench = generate_benchmark(cfg)
         assert set(bench.sealed) == {v.video_id for v in bench.unlabeled}
+        sealed = selftrain.sealed_label_map(bench, cfg)
         for video in bench.unlabeled:
             assert video.instances == ()
             assert not video.labeled
-            labels = bench.sealed_labels(video, class_count=4)
+            labels = sealed[video.video_id]
             assert len(labels) == video.snippet_count
 
     def test_noiseless_nearest_prototype(self):
@@ -103,8 +103,7 @@ class TestGenerateBenchmark:
         correct = total = 0
         for video in list(bench.labeled) + list(bench.test):
             truth = snippet_true_labels(video.instances, video.snippet_count, cfg.background_index)
-            feats = np.stack([s.feature for s in video.snippets])
-            d2 = ((feats[:, None, :] - refs[None, :, :]) ** 2).sum(axis=2)
+            d2 = ((video.features[:, None, :] - refs[None, :, :]) ** 2).sum(axis=2)
             pred = np.argmin(d2, axis=1) + 1
             correct += int((pred == truth).sum())
             total += video.snippet_count
@@ -151,9 +150,8 @@ class TestFeatureContainer:
             assert copy.video_id == original.video_id
             assert copy.labeled == original.labeled
             assert copy.instances == original.instances
-            fa = np.stack([s.feature for s in original.snippets])
-            fb = np.stack([s.feature for s in copy.snippets])
-            assert fa.tobytes() == fb.tobytes()
+            assert copy.features.tobytes() == original.features.tobytes()
+            assert not copy.features.flags.writeable
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -170,6 +168,17 @@ class TestFeatureContainer:
         data[8] = 99  # version field
         path.write_bytes(bytes(data))
         with pytest.raises(VersionMismatchError):
+            load_feature_file(path)
+
+    def test_zero_feature_dim_rejected(self, tmp_path):
+        cfg = small_config()
+        bench = generate_benchmark(cfg)
+        path = tmp_path / "features.bin"
+        write_feature_file(path, bench.labeled[:1], cfg.class_count, cfg.feature_dim)
+        data = bytearray(path.read_bytes())
+        data[12:16] = bytes(4)  # feature_dim field
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptRecordError):
             load_feature_file(path)
 
     def test_truncated_reports_offset(self, tmp_path):
@@ -207,3 +216,35 @@ class TestFeatureContainer:
         text = path.read_text()
         assert bench.labeled[0].video_id in text
         assert "labeled=yes" in text
+
+    def test_non_finite_feature_names_video(self, tmp_path):
+        cfg = small_config()
+        bench = generate_benchmark(cfg)
+        path = tmp_path / "features.bin"
+        write_feature_file(path, bench.labeled[:1], cfg.class_count, cfg.feature_dim)
+        data = bytearray(path.read_bytes())
+        data[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # last feature value
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptRecordError) as err:
+            load_feature_file(path)
+        assert bench.labeled[0].video_id in str(err.value)
+
+    def test_corruption_sweep_raises_package_errors(self, tmp_path):
+        # Every truncation point and every byte overwritten with 0x00 / 0xFF /
+        # 0x80: each variant loads or raises one of the package's errors.
+        tiny = ExperimentConfig(train_video_count=8, test_video_count=3, snippets_per_video=30,
+                                class_count=4, feature_dim=8, labeled_ratio=1.0, seed=5)
+        video = generate_benchmark(tiny).labeled[0]
+        path = tmp_path / "features.bin"
+        write_feature_file(path, [video], tiny.class_count, tiny.feature_dim)
+        data = path.read_bytes()
+        variants = [data[:cut] for cut in range(len(data))]
+        for i in range(len(data)):
+            for value in (0x00, 0xFF, 0x80):
+                variants.append(data[:i] + bytes([value]) + data[i + 1 :])
+        for variant in variants:
+            path.write_bytes(variant)
+            try:
+                load_feature_file(path)
+            except Error:
+                pass  # any other exception fails the test

@@ -6,23 +6,13 @@ import pytest
 from pntal.core import (
     ClassDistribution,
     ExperimentConfig,
-    GroundTruth,
-    LabelPartition,
-    Pseudo,
-    Snippet,
-    SnippetBatch,
-    SoftPseudo,
-    Unlabeled,
     make_distribution,
     softmax,
 )
 from pntal.losses import (
     BatchArrays,
     LengthMismatchError,
-    UnresolvedSupervisionError,
-    arrays_from_batch,
     batch_terms,
-    combined_loss,
     mask_loss,
     negative_loss,
     positive_loss,
@@ -174,82 +164,105 @@ def test_gradients_match_finite_differences(case):
         assert_gradients_close(grad, numeric)
 
 
+def _batch(dists, mask_scores, rows, mask_targets=None):
+    """BatchArrays with one row per distribution.
+
+    A row is ("gt", class), ("pseudo", target, negatives, positives) or
+    ("soft", soft_label). A ground-truth row takes every non-target class as
+    negative, as under the hybrid and target-negative objectives.
+    """
+    n, k = len(rows), dists[0].label_count
+    if mask_targets is None:
+        mask_targets = [None] * n
+    arrays = BatchArrays(
+        probs=np.stack([d.probs for d in dists]),
+        mask_scores=np.asarray(mask_scores, dtype=np.float64),
+        labeled=np.array([row[0] == "gt" for row in rows]),
+        targets=np.zeros(n, dtype=np.int64),
+        neg_mask=np.zeros((n, k), dtype=bool),
+        pos_mask=np.zeros((n, k), dtype=bool),
+        mask_targets=np.array([np.nan if t is None else t for t in mask_targets]),
+    )
+    for i, row in enumerate(rows):
+        if row[0] == "gt":
+            arrays.targets[i] = row[1]
+            arrays.neg_mask[i] = True
+            arrays.neg_mask[i, row[1] - 1] = False
+        elif row[0] == "pseudo":
+            _, target, negatives, positives = row
+            arrays.targets[i] = target
+            arrays.neg_mask[i, [c - 1 for c in negatives]] = True
+            arrays.pos_mask[i, [c - 1 for c in positives]] = True
+        else:
+            if arrays.soft is None:
+                arrays.soft = np.full((n, k), np.nan)
+            arrays.soft[i] = row[1]
+            arrays.targets[i] = int(np.argmax(row[1])) + 1
+    return arrays
+
+
+def _loss(arrays, config):
+    breakdown, _, _ = batch_terms(
+        arrays, alpha=config.unlabeled_loss_weight, normalize_sets=config.normalize_set_losses
+    )
+    return breakdown
+
+
 def _batch_fixture():
     dists = [
         make_distribution([0.5, 0.3, 0.2]),
         make_distribution([0.2, 0.5, 0.3]),
         make_distribution([0.3, 0.3, 0.4]),
     ]
-    part = LabelPartition(target=2, positives={3}, negatives={1}, ambiguous=set())
-    batch = SnippetBatch(
-        snippets=(
-            Snippet(feature=np.zeros(2), supervision=GroundTruth(1)),
-            Snippet(feature=np.zeros(2), supervision=Pseudo(2, part)),
-            Snippet(feature=np.zeros(2), supervision=Pseudo(3, LabelPartition(
-                target=3, positives=set(), negatives=set(), ambiguous={1, 2}))),
-        ),
-        mask_targets=(1.0, None, None),
-    )
-    return batch, dists
+    rows = [("gt", 1), ("pseudo", 2, {1}, {3}), ("pseudo", 3, set(), set())]
+    return rows, dists, [1.0, None, None]
 
 
 class TestCombinedLoss:
     def test_single_labeled_snippet(self):
-        batch = SnippetBatch(snippets=(Snippet(feature=np.zeros(2), supervision=GroundTruth(1)),))
         dists = [make_distribution([0.5, 0.3, 0.2])]
         config = ExperimentConfig(objective="hybrid")
-        breakdown = combined_loss(batch, dists, [0.5], config)
+        breakdown = _loss(_batch(dists, [0.5], [("gt", 1)]), config)
         assert breakdown.target == pytest.approx(-math.log(0.5), abs=1e-9)
         assert breakdown.negative == pytest.approx(-(math.log(0.7) + math.log(0.8)), abs=1e-9)
         assert breakdown.negative == pytest.approx(0.579818, abs=1e-6)
         assert breakdown.positive == 0.0
 
     def test_pseudo_with_empty_sets(self):
-        part = LabelPartition(target=1, positives=set(), negatives=set(), ambiguous={2, 3})
-        batch = SnippetBatch(snippets=(Snippet(feature=np.zeros(2), supervision=Pseudo(1, part)),))
         dists = [make_distribution([0.5, 0.3, 0.2])]
         config = ExperimentConfig(unlabeled_loss_weight=0.7)
-        breakdown = combined_loss(batch, dists, [0.5], config)
+        breakdown = _loss(_batch(dists, [0.5], [("pseudo", 1, set(), set())]), config)
         assert breakdown.total == pytest.approx(0.7 * -math.log(0.5), abs=1e-12)
         assert breakdown.positive == 0.0
         assert breakdown.negative == 0.0
 
     def test_alpha_zero_kills_unlabeled(self):
-        batch, dists = _batch_fixture()
+        rows, dists, mask_targets = _batch_fixture()
         config = ExperimentConfig(unlabeled_loss_weight=0.0)
-        breakdown = combined_loss(batch, dists, [0.5, 0.5, 0.5], config)
-        only_labeled = combined_loss(
-            SnippetBatch(snippets=batch.snippets[:1], mask_targets=batch.mask_targets[:1]),
-            dists[:1], [0.5], config,
-        )
+        breakdown = _loss(_batch(dists, [0.5, 0.5, 0.5], rows, mask_targets), config)
+        only_labeled = _loss(_batch(dists[:1], [0.5], rows[:1], mask_targets[:1]), config)
         assert breakdown.target == pytest.approx(only_labeled.target, abs=1e-12)
         assert breakdown.positive == 0.0
 
     def test_total_decomposes(self):
-        batch, dists = _batch_fixture()
+        rows, dists, mask_targets = _batch_fixture()
         config = ExperimentConfig(unlabeled_loss_weight=0.7)
-        b = combined_loss(batch, dists, [0.6, 0.4, 0.5], config)
+        b = _loss(_batch(dists, [0.6, 0.4, 0.5], rows, mask_targets), config)
         assert b.total == pytest.approx(b.target + b.positive + b.negative + b.mask, abs=1e-12)
-
-    def test_unresolved_supervision_raises(self):
-        batch = SnippetBatch(snippets=(Snippet(feature=np.zeros(2), supervision=Unlabeled()),))
-        with pytest.raises(UnresolvedSupervisionError):
-            combined_loss(batch, [make_distribution([1, 1])], [0.5], ExperimentConfig())
 
     def test_soft_supervision(self):
         q = np.array([0.6, 0.3, 0.1])
-        batch = SnippetBatch(snippets=(Snippet(feature=np.zeros(2), supervision=SoftPseudo(q)),))
         dist = make_distribution([0.5, 0.3, 0.2])
         config = ExperimentConfig(unlabeled_loss_weight=1.0, objective="soft-pseudo")
-        breakdown = combined_loss(batch, dists=[dist], mask_scores=[0.5], config=config)
+        breakdown = _loss(_batch([dist], [0.5], [("soft", q)]), config)
         expected = -(q * np.log(dist.probs)).sum()
         assert breakdown.target == pytest.approx(expected, abs=1e-12)
 
     def test_set_normalization_flag(self):
-        batch = SnippetBatch(snippets=(Snippet(feature=np.zeros(2), supervision=GroundTruth(1)),))
         dists = [make_distribution([0.5, 0.3, 0.2])]
-        raw = combined_loss(batch, dists, [0.5], ExperimentConfig())
-        norm = combined_loss(batch, dists, [0.5], ExperimentConfig(normalize_set_losses=True))
+        arrays = _batch(dists, [0.5], [("gt", 1)])
+        raw = _loss(arrays, ExperimentConfig())
+        norm = _loss(arrays, ExperimentConfig(normalize_set_losses=True))
         assert norm.negative == pytest.approx(raw.negative / 2.0, abs=1e-12)
 
 
@@ -319,9 +332,3 @@ def test_batch_terms_matches_per_snippet_ops():
     _, grad2, _ = batch_terms(arrays2, alpha=alpha)
     numeric = finite_difference(total_from_logits, list(logits.ravel()), h=1e-6)
     assert_gradients_close(grad2.ravel(), numeric, rel_tol=1e-4, abs_tol=1e-7)
-
-
-def test_arrays_from_batch_length_checks():
-    batch = SnippetBatch(snippets=(Snippet(feature=np.zeros(2), supervision=GroundTruth(1)),))
-    with pytest.raises(LengthMismatchError):
-        arrays_from_batch(batch, [], [], labeled_negative=True)

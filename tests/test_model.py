@@ -11,10 +11,8 @@ from pntal.model import (
     NonFiniteGradientError,
     ShapeMismatchError,
     StaleCacheError,
-    backward,
     backward_batch,
     cosine_decay,
-    forward,
     forward_batch,
     init_params,
     init_optimizer,
@@ -38,9 +36,9 @@ def zero_params(d=4, h=5, k=3):
 class TestForward:
     def test_zero_weights_uniform(self):
         params = zero_params(k=4)
-        dist, score, _ = forward(params, np.ones(4))
-        assert np.allclose(dist.probs, 0.25)
-        assert score == pytest.approx(0.5)
+        probs, scores, _ = forward_batch(params, np.ones((1, 4)))
+        assert np.allclose(probs[0], 0.25)
+        assert scores[0] == pytest.approx(0.5)
 
     def test_saturation(self):
         params = zero_params(k=3)
@@ -49,32 +47,32 @@ class TestForward:
             class_w=params.class_w, class_b=np.array([50.0, 0.0, 0.0]),
             mask_w=params.mask_w, mask_b=0.0,
         )
-        dist, _, _ = forward(params, np.zeros(4))
-        assert dist.probs[0] == pytest.approx(1.0)
+        probs, _, _ = forward_batch(params, np.zeros((1, 4)))
+        assert probs[0, 0] == pytest.approx(1.0)
 
     def test_golden_determinism(self):
         # Frozen reference values recorded from the seeded initializer.
         params = init_params(4, 6, 3, seed=0)
         x = np.array([0.3, -0.7, 1.1, 0.05])
-        dist1, score1, _ = forward(params, x)
-        dist2, score2, _ = forward(params, x)
-        assert np.array_equal(dist1.probs, dist2.probs)
-        assert score1 == score2
+        probs1, scores1, _ = forward_batch(params, x[None, :])
+        probs2, scores2, _ = forward_batch(params, x[None, :])
+        assert np.array_equal(probs1, probs2)
+        assert scores1[0] == scores2[0]
         golden_probs = [0.2455366544229728, 0.43928543766524514, 0.3151779079117821]
         golden_score = 0.47229895629706037
-        assert [float(v) for v in dist1.probs] == golden_probs
-        assert float(score1) == golden_score
+        assert [float(v) for v in probs1[0]] == golden_probs
+        assert float(scores1[0]) == golden_score
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            forward(zero_params(d=4), np.ones(5))
+            forward_batch(zero_params(d=4), np.ones((1, 5)))
 
 
 class TestBackward:
     def test_zero_upstream(self):
         params = init_params(4, 5, 3, seed=1)
-        _, _, cache = forward(params, np.ones(4))
-        grads = backward(cache, np.zeros(3), 0.0)
+        _, _, cache = forward_batch(params, np.ones((1, 4)))
+        grads = backward_batch(cache, np.zeros((1, 3)), np.zeros(1))
         for name in model.PARAM_FIELDS:
             assert np.all(np.asarray(getattr(grads, name)) == 0.0)
 
@@ -139,18 +137,18 @@ class TestBackward:
 
     def test_stale_cache_detected(self):
         params = init_params(3, 4, 3, seed=5)
-        _, _, cache = forward(params, np.ones(3))
+        _, _, cache = forward_batch(params, np.ones((1, 3)))
         params.trunk_w.flags.writeable = True
         params.trunk_w[0, 0] += 1.0  # in-place mutation invalidates the cache
         with pytest.raises(StaleCacheError):
-            backward(cache, np.zeros(3), 0.0)
+            backward_batch(cache, np.zeros((1, 3)), np.zeros(1))
 
 
 class TestStep:
     def test_zero_gradients_keep_params(self):
         params = init_params(3, 4, 3, seed=6)
         state = init_optimizer(params, 0.1)
-        grads = backward(forward(params, np.ones(3))[2], np.zeros(3), 0.0)
+        grads = backward_batch(forward_batch(params, np.ones((1, 3)))[2], np.zeros((1, 3)), np.zeros(1))
         new_params, new_state = step(params, grads, state)
         for name in model.PARAM_FIELDS:
             assert np.array_equal(np.asarray(getattr(new_params, name)),
@@ -160,8 +158,8 @@ class TestStep:
     def test_zero_learning_rate(self):
         params = init_params(3, 4, 3, seed=7)
         state = init_optimizer(params, 0.1)
-        _, _, cache = forward(params, np.ones(3))
-        grads = backward(cache, np.array([1.0, -2.0, 0.5]), 0.3)
+        _, _, cache = forward_batch(params, np.ones((1, 3)))
+        grads = backward_batch(cache, np.array([[1.0, -2.0, 0.5]]), np.array([0.3]))
         new_params, _ = step(params, grads, state, learning_rate=0.0)
         for name in model.PARAM_FIELDS:
             assert np.array_equal(np.asarray(getattr(new_params, name)),
@@ -202,8 +200,8 @@ class TestStep:
     def test_weight_decay_shrinks_weights(self):
         params = init_params(3, 4, 3, seed=8)
         state = init_optimizer(params, 0.1)
-        _, _, cache = forward(params, np.ones(3))
-        grads = backward(cache, np.zeros(3), 0.0)
+        _, _, cache = forward_batch(params, np.ones((1, 3)))
+        grads = backward_batch(cache, np.zeros((1, 3)), np.zeros(1))
         decayed, _ = step(params, grads, state, weight_decay=0.5)
         assert np.allclose(decayed.trunk_w, params.trunk_w * (1 - 0.1 * 0.5))
         assert np.array_equal(decayed.trunk_b, params.trunk_b)

@@ -2,21 +2,15 @@ import numpy as np
 import pytest
 
 from pntal import datagen, model, selftrain
-from pntal.core import (
-    ExperimentConfig,
-    Pseudo,
-    Snippet,
-    SoftPseudo,
-    Unlabeled,
-    VideoRecord,
-    make_distribution,
-)
-from pntal.losses import combined_loss
+from pntal.core import ExperimentConfig, LabelPartition, VideoRecord, make_distribution
+from pntal.losses import BatchArrays, batch_terms
 from pntal.partition import partition_label_space
 from pntal.selftrain import (
     EmptyLabeledSetError,
     MissingGroundTruthError,
-    assign_pseudo_labels,
+    PseudoAnnotation,
+    assign_annotation,
+    build_unlabeled_pool,
     pretrain,
     sealed_label_map,
     self_train_loop,
@@ -50,12 +44,20 @@ def bias_model(probs, input_dim, hidden=4):
 
 
 def unlabeled_video(video_id, n, d, rng):
-    return VideoRecord(
-        video_id=video_id,
-        snippets=tuple(Snippet(feature=rng.normal(size=d), supervision=Unlabeled()) for _ in range(n)),
-        instances=(),
-        labeled=False,
-    )
+    return VideoRecord(video_id=video_id, features=rng.normal(size=(n, d)), instances=(), labeled=False)
+
+
+def annotate(params, video, cfg):
+    return assign_annotation(params, video_feature_matrix(video, cfg.feature_window), cfg)
+
+
+def row_partition(ann, i):
+    """The label-space partition of annotation row i."""
+    target = int(ann.targets[i])
+    negatives = set((np.nonzero(ann.neg_mask[i])[0] + 1).tolist())
+    positives = set((np.nonzero(ann.pos_mask[i])[0] + 1).tolist())
+    ambiguous = set(range(1, ann.neg_mask.shape[1] + 1)) - {target} - negatives - positives
+    return LabelPartition(target, positives, negatives, ambiguous)
 
 
 class TestSharpen:
@@ -121,13 +123,13 @@ class TestAssignPseudoLabels:
         params = bias_model([0.994, 0.002, 0.002, 0.001, 0.001], cfg.model_input_dim)
         rng = np.random.default_rng(0)
         video = unlabeled_video("u", 5, cfg.feature_dim, rng)
-        annotated = assign_pseudo_labels(params, [video], cfg)[0]
-        for snippet in annotated.snippets:
-            sup = snippet.supervision
-            assert isinstance(sup, Pseudo)
-            assert sup.class_idx == 1
-            assert sup.partition.negatives == {2, 3, 4, 5}
-            assert sup.partition.positives == set()
+        ann = annotate(params, video, cfg)
+        assert ann.soft is None
+        for i in range(video.snippet_count):
+            part = row_partition(ann, i)
+            assert part.target == 1
+            assert part.negatives == {2, 3, 4, 5}
+            assert part.positives == set()
 
     def test_matches_partition_label_space(self):
         probs = [0.30, 0.27, 0.18, 0.15, 0.10]
@@ -135,10 +137,10 @@ class TestAssignPseudoLabels:
         params = bias_model(probs, cfg.model_input_dim)
         rng = np.random.default_rng(1)
         video = unlabeled_video("u", 4, cfg.feature_dim, rng)
-        annotated = assign_pseudo_labels(params, [video], cfg)[0]
+        ann = annotate(params, video, cfg)
         expected = partition_label_space(make_distribution(probs), 0.85)
-        for snippet in annotated.snippets:
-            assert snippet.supervision.partition == expected
+        for i in range(video.snippet_count):
+            assert row_partition(ann, i) == expected
 
     def test_identical_snippets_identical_annotations(self):
         for objective in ("hybrid", "complementary"):
@@ -147,14 +149,11 @@ class TestAssignPseudoLabels:
             params = pretrain(bench.labeled, cfg)
             feature = np.full(cfg.feature_dim, 0.25)
             video = VideoRecord(
-                video_id="twin",
-                snippets=(Snippet(feature=feature), Snippet(feature=feature.copy())),
-                instances=(),
-                labeled=False,
+                video_id="twin", features=np.stack([feature, feature.copy()]),
+                instances=(), labeled=False,
             )
-            annotated = assign_pseudo_labels(params, [video], cfg)[0]
-            first, second = annotated.snippets
-            assert first.supervision == second.supervision
+            ann = annotate(params, video, cfg)
+            assert row_partition(ann, 0) == row_partition(ann, 1)
 
     def test_objective_modes(self):
         probs = [0.30, 0.27, 0.18, 0.15, 0.10]
@@ -163,43 +162,45 @@ class TestAssignPseudoLabels:
 
         cfg = small_config(sharpen_temperature=1.0, objective="target-only")
         params = bias_model(probs, cfg.model_input_dim)
-        sup = assign_pseudo_labels(params, [video], cfg)[0].snippets[0].supervision
-        assert sup.partition.negatives == set() and sup.partition.positives == set()
+        part = row_partition(annotate(params, video, cfg), 0)
+        assert part.negatives == set() and part.positives == set()
 
         cfg = small_config(sharpen_temperature=1.0, objective="target-negative")
-        sup = assign_pseudo_labels(params, [video], cfg)[0].snippets[0].supervision
-        assert sup.partition.negatives == {5, 4} and sup.partition.positives == set()
+        part = row_partition(annotate(params, video, cfg), 0)
+        assert part.negatives == {5, 4} and part.positives == set()
 
         cfg = small_config(sharpen_temperature=1.0, objective="complementary")
-        sup = assign_pseudo_labels(params, [video], cfg)[0].snippets[0].supervision
-        assert len(sup.partition.negatives) == 1
-        assert sup.partition.positives == set()
-        assert 1 not in sup.partition.negatives
+        part = row_partition(annotate(params, video, cfg), 0)
+        assert len(part.negatives) == 1
+        assert part.positives == set()
+        assert 1 not in part.negatives
 
         cfg = small_config(sharpen_temperature=1.0, objective="soft-pseudo")
-        sup = assign_pseudo_labels(params, [video], cfg)[0].snippets[0].supervision
-        assert isinstance(sup, SoftPseudo)
-        assert np.allclose(sup.soft_label, probs, atol=1e-12)
+        ann = annotate(params, video, cfg)
+        assert ann.soft is not None
+        assert np.allclose(ann.soft[0], probs, atol=1e-12)
 
     def test_inputs_unchanged(self):
         cfg = small_config()
         bench = datagen.generate_benchmark(cfg)
         params = pretrain(bench.labeled, cfg)
-        before = [s.supervision for s in bench.unlabeled[0].snippets]
-        assign_pseudo_labels(params, bench.unlabeled[:1], cfg)
-        after = [s.supervision for s in bench.unlabeled[0].snippets]
-        assert before == after
+        video = bench.unlabeled[0]
+        before = video.features.copy()
+        annotate(params, video, cfg)
+        assert np.array_equal(video.features, before)
+        assert not video.features.flags.writeable
+        assert video.instances == () and not video.labeled
 
     def test_pseudo_target_is_argmax_of_sharpened(self):
         cfg = small_config()
         bench = datagen.generate_benchmark(cfg)
         params = pretrain(bench.labeled, cfg)
-        annotated = assign_pseudo_labels(params, bench.unlabeled[:3], cfg)
-        for video, source in zip(annotated, bench.unlabeled[:3]):
+        for source in bench.unlabeled[:3]:
+            ann = annotate(params, source, cfg)
             probs, _, _ = model.forward_batch(params, video_feature_matrix(source))
             sharpened = selftrain.sharpen_rows(probs, cfg.sharpen_temperature)
-            for i, snippet in enumerate(video.snippets):
-                assert snippet.supervision.class_idx == int(np.argmax(sharpened[i])) + 1
+            for i in range(source.snippet_count):
+                assert ann.targets[i] == int(np.argmax(sharpened[i])) + 1
 
 
 class TestSubspaceStatistics:
@@ -208,20 +209,18 @@ class TestSubspaceStatistics:
         bench = datagen.generate_benchmark(cfg.replace(noise_sigma=0.0, ambiguous_ratio=0.0,
                                                        distractor_ratio=0.0))
         sealed = sealed_label_map(bench, cfg)
-        # craft per-video annotations equal to ground truth
-        annotated = []
-        for video in bench.unlabeled:
-            truth = sealed[video.video_id]
-            snippets = []
-            for i, snippet in enumerate(video.snippets):
-                t = int(truth[i])
-                others = [c for c in range(1, cfg.label_count + 1) if c != t]
-                part = partition_label_space(
-                    make_distribution(np.eye(cfg.label_count)[t - 1] + 1e-12), 0.85
-                )
-                snippets.append(Snippet(feature=snippet.feature, supervision=Pseudo(t, part)))
-            annotated.append(VideoRecord(video.video_id, tuple(snippets), (), False))
-        stats = subspace_statistics(annotated, sealed)
+        # craft annotations equal to ground truth
+        truths = np.concatenate([sealed[v.video_id] for v in bench.unlabeled])
+        neg_mask = np.zeros((len(truths), cfg.label_count), dtype=bool)
+        pos_mask = np.zeros((len(truths), cfg.label_count), dtype=bool)
+        for i, t in enumerate(truths):
+            part = partition_label_space(
+                make_distribution(np.eye(cfg.label_count)[t - 1] + 1e-12), 0.85
+            )
+            neg_mask[i, [c - 1 for c in part.negatives]] = True
+            pos_mask[i, [c - 1 for c in part.positives]] = True
+        ann = PseudoAnnotation(targets=truths, neg_mask=neg_mask, pos_mask=pos_mask, soft=None)
+        stats = subspace_statistics(ann, truths)
         assert stats.target_rate == pytest.approx(1.0)
         assert stats.positive_rate == 0.0
         assert stats.negative_rate == 0.0
@@ -231,11 +230,10 @@ class TestSubspaceStatistics:
         # (first non-target in sorted order), positives = rest.
         cfg = small_config(sharpen_temperature=1.0)
         bench = datagen.generate_benchmark(cfg)
-        sealed = sealed_label_map(bench, cfg)
+        pool = build_unlabeled_pool(bench.unlabeled, cfg, sealed_label_map(bench, cfg))
         params = bias_model([0.2] * 5, cfg.model_input_dim)
-        annotated = assign_pseudo_labels(params, bench.unlabeled, cfg)
-        stats = subspace_statistics(annotated, sealed)
-        truths = np.concatenate([sealed[v.video_id] for v in bench.unlabeled])
+        stats = subspace_statistics(assign_annotation(params, pool.features, cfg), pool.true_labels)
+        truths = pool.true_labels
         assert stats.target_rate == pytest.approx((truths == 1).mean())
         assert stats.negative_rate == pytest.approx((truths == 2).mean())
         assert stats.positive_rate == pytest.approx((truths >= 3).mean())
@@ -245,18 +243,15 @@ class TestSubspaceStatistics:
         cfg = small_config()
         bench = datagen.generate_benchmark(cfg)
         params = pretrain(bench.labeled, cfg)
-        sealed = sealed_label_map(bench, cfg)
-        annotated = assign_pseudo_labels(params, bench.unlabeled, cfg)
-        stats = subspace_statistics(annotated, sealed)
+        pool = build_unlabeled_pool(bench.unlabeled, cfg, sealed_label_map(bench, cfg))
+        stats = subspace_statistics(assign_annotation(params, pool.features, cfg), pool.true_labels)
         assert sum(stats.rates()) == pytest.approx(1.0, abs=1e-9)
 
     def test_missing_ground_truth(self):
         cfg = small_config()
         bench = datagen.generate_benchmark(cfg)
-        params = pretrain(bench.labeled, cfg)
-        annotated = assign_pseudo_labels(params, bench.unlabeled[:1], cfg)
         with pytest.raises(MissingGroundTruthError):
-            subspace_statistics(annotated, {})
+            build_unlabeled_pool(bench.unlabeled[:1], cfg, {})
 
 
 class TestSelfTrainLoop:
@@ -319,16 +314,16 @@ class TestSelfTrainLoop:
         cfg = small_config()
         bench = datagen.generate_benchmark(cfg)
         params = pretrain(bench.labeled, cfg)
-        annotated = assign_pseudo_labels(params, bench.unlabeled[:2], cfg)
-        from pntal.core import SnippetBatch
-
-        snippets = tuple(s for v in annotated for s in v.snippets)
-        batch = SnippetBatch(snippets=snippets)
-        feats = np.stack([s.feature for s in snippets])
+        feats = build_unlabeled_pool(bench.unlabeled[:2], cfg).features
+        ann = assign_annotation(params, feats, cfg)
         probs, scores, _ = model.forward_batch(params, feats)
-        dists = [make_distribution(p) for p in probs]
-        first = combined_loss(batch, dists, scores, cfg)
-        second = combined_loss(batch, dists, scores, cfg)
+        arrays = BatchArrays(
+            probs=probs, mask_scores=scores, labeled=np.zeros(len(feats), dtype=bool),
+            targets=ann.targets, neg_mask=ann.neg_mask, pos_mask=ann.pos_mask,
+            mask_targets=np.full(len(feats), np.nan),
+        )
+        first = batch_terms(arrays, alpha=cfg.unlabeled_loss_weight)[0]
+        second = batch_terms(arrays, alpha=cfg.unlabeled_loss_weight)[0]
         assert first == second
 
 
