@@ -1,7 +1,8 @@
 """Experiment runner: configure, run, and summarize training and ablations.
 
-Every run writes a manifest (config snapshot, seed, build id, wall time) plus
-metrics as structured text and plot-ready CSV. Metrics artifacts are
+Every run writes a manifest (config snapshot, seed, build id, wall time; for
+scored runs also the detection count and per-class AP) plus metrics as
+structured text and plot-ready CSV. Metrics artifacts are
 byte-identical across reruns with the same seed; only the manifest carries
 wall-clock time. Exit codes: 0 ok, 1 configuration error, 2 runtime error.
 
@@ -132,11 +133,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_manifest(out_dir: Path, config: ExperimentConfig, command: str, wall_time: float) -> None:
+def write_manifest(
+    out_dir: Path,
+    config: ExperimentConfig,
+    command: str,
+    wall_time: float,
+    report: Sequence[Tuple[str, object]] = (),
+) -> None:
+    """Config snapshot, build id, the run's report lines and wall time."""
     lines = [f"command = {command}", f"build_id = {build_id()}"]
     for key in sorted(config.to_dict()):
         lines.append(f"{key} = {_fmt(getattr(config, key))}")
     lines.append(f"simplifications = {','.join(SIMPLIFICATIONS)}")
+    lines.extend(f"{key} = {_fmt(value)}" for key, value in report)
     lines.append(f"wall_time_s = {wall_time:.3f}")
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -152,6 +161,13 @@ def write_metrics_jsonl(path: Path, metrics: Sequence[selftrain.EpochMetrics]) -
     with open(path, "w", encoding="utf-8") as fh:
         for m in metrics:
             fh.write(json.dumps(m.to_dict(), sort_keys=True) + "\n")
+
+
+def _evaluation_report(detections, result: localize.EvalResult) -> List[Tuple[str, object]]:
+    """Manifest lines for a scored run: detection count and per-class AP at each tIoU."""
+    report: List[Tuple[str, object]] = [("detections", len(detections))]
+    report.extend((f"ap_tiou_{thr:g}_class_{cls}", ap) for thr, cls, ap in result.per_class)
+    return report
 
 
 def write_map_csv(path: Path, result: localize.EvalResult) -> None:
@@ -265,16 +281,21 @@ def _cmd_pretrain(config: ExperimentConfig, out: Path) -> None:
     write_csv(out / "pretrain_metrics.csv", ("metric", "value"), rows)
 
 
-def _cmd_selftrain(config: ExperimentConfig, out: Path, params_path: Optional[str]) -> None:
+def _cmd_selftrain(
+    config: ExperimentConfig, out: Path, params_path: Optional[str]
+) -> List[Tuple[str, object]]:
     params = None if params_path is None else _load_checkpoint(params_path, config)
     result = run_experiment(config, params=params)
     model.save_params(result.params, out / "checkpoint.txt")
     write_metrics_jsonl(out / "metrics.jsonl", result.metrics)
     localize.write_detections(out / "detections.tsv", result.detections)
     write_map_csv(out / "map.csv", result.evaluation)
+    return _evaluation_report(result.detections, result.evaluation)
 
 
-def _cmd_evaluate(config: ExperimentConfig, out: Path, params_path, detections_path) -> None:
+def _cmd_evaluate(
+    config: ExperimentConfig, out: Path, params_path, detections_path
+) -> List[Tuple[str, object]]:
     params = None
     if detections_path is not None:
         if not Path(detections_path).is_file():
@@ -292,6 +313,7 @@ def _cmd_evaluate(config: ExperimentConfig, out: Path, params_path, detections_p
         detections, localize.ground_truth_map(benchmark.test), config.tiou_grid
     )
     write_map_csv(out / "map.csv", result)
+    return _evaluation_report(detections, result)
 
 
 def _cmd_subspace_audit(config: ExperimentConfig, out: Path) -> None:
@@ -404,14 +426,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = load_config(args.config, overrides)
         out = _out_dir(args)
         started = time.perf_counter()
+        report = ()
         if args.command == "generate":
             _cmd_generate(config, out)
         elif args.command == "pretrain":
             _cmd_pretrain(config, out)
         elif args.command == "selftrain":
-            _cmd_selftrain(config, out, args.params)
+            report = _cmd_selftrain(config, out, args.params)
         elif args.command == "evaluate":
-            _cmd_evaluate(config, out, args.params, args.detections)
+            report = _cmd_evaluate(config, out, args.params, args.detections)
         elif args.command == "ablate-losses":
             variants = [(o, {"objective": o}) for o in ("target-only", "target-negative", "hybrid")]
             _sweep(config, out, "loss_ablation.csv", "objective", variants, args.seeds)
@@ -426,7 +449,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _sweep(config, out, "baselines.csv", "objective", variants, args.seeds)
         elif args.command == "subspace-audit":
             _cmd_subspace_audit(config, out)
-        write_manifest(out, config, args.command, time.perf_counter() - started)
+        write_manifest(out, config, args.command, time.perf_counter() - started, report)
         return 0
     except (_UsageError, BadConfigError) as exc:
         print(f"pntal: configuration error: {exc}", file=sys.stderr)

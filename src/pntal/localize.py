@@ -7,24 +7,40 @@ contiguous run of mask-positive snippets containing it, scored by the seed's
 class probability times the run's mean mask score. Soft-NMS then decays
 overlapping detections per class with a Gaussian kernel.
 
+Three facts keep this path fast and its output byte-identical:
+
+- A candidate's span, class and score do not depend on the classification
+  threshold, so only min(classification_thresholds) affects candidates: it
+  decides which snippets seed them, and the rest of that grid is inert.
+- Run means are summed in numpy's own reduction order, the one
+  masks[s:e+1].mean() uses; other summation orders round differently and
+  would change written scores in the last digit.
+- The Soft-NMS decay uses math.exp, not np.exp. The two differ in the last
+  bit on a few percent of inputs, and scores are written in full precision.
+
 Matching for average precision is greedy in descending score order: a
 detection matches the not-yet-matched ground-truth instance of the same video
-and class with the highest tIoU, provided that tIoU reaches the threshold.
-AP is the exact area under the precision-recall curve (all-points
-interpolation); mAP averages over classes that have at least one ground-truth
-instance.
+and class with the highest tIoU (the first such instance on ties), provided
+that tIoU reaches the threshold. Ground truth is indexed by (class, video),
+and each detection's tIoUs are computed once for the whole grid. AP is the
+exact area under the precision-recall curve (all-points interpolation); mAP
+averages over classes that have at least one ground-truth instance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from . import model
-from .core import ActionInstance, ExperimentConfig, VideoRecord
+from .core import ActionInstance, Error, ExperimentConfig, VideoRecord
+
+
+class MalformedDetectionError(Error, ValueError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -51,23 +67,19 @@ def temporal_iou(a, b) -> float:
     return inter / union
 
 
-def _mask_runs(fg: np.ndarray):
-    """Run id per snippet (-1 outside), plus per-run (start, end)."""
-    n = len(fg)
-    run_id = np.full(n, -1, dtype=np.int64)
-    bounds = []
-    i = 0
-    while i < n:
-        if fg[i]:
-            j = i
-            while j + 1 < n and fg[j + 1]:
-                j += 1
-            run_id[i : j + 1] = len(bounds)
-            bounds.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return run_id, bounds
+def _run_means(masks: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """masks[s:e+1].mean() for each run, bit for bit.
+
+    Runs of one length are gathered into rows and summed along the row, which
+    is the pairwise order numpy uses for a contiguous slice; np.add.reduceat
+    and cumulative sums round differently.
+    """
+    length = end - start + 1
+    means = np.empty(len(start))
+    for n in set(length.tolist()):
+        rows = np.flatnonzero(length == n)
+        means[rows] = np.add.reduce(masks[start[rows, None] + np.arange(n)], axis=1) / n
+    return means
 
 
 def generate_candidates(
@@ -85,58 +97,73 @@ def generate_candidates(
     """
     probs = np.asarray(class_probs, dtype=np.float64)
     masks = np.asarray(mask_scores, dtype=np.float64)
+    lowest = min((float(t) for t in classification_thresholds), default=None)
+    if lowest is None:
+        return []
     action = probs[:, :-1]
     best = action.max(axis=1)
     best_class = action.argmax(axis=1) + 1
-    cls_grid = sorted(set(float(t) for t in classification_thresholds))
-    candidates: Dict[Tuple[int, int, int], float] = {}
-    for theta_m in sorted(set(float(t) for t in mask_thresholds)):
-        fg = masks >= theta_m
-        if not fg.any():
-            continue
-        run_id, bounds = _mask_runs(fg)
-        run_means = [float(masks[s : e + 1].mean()) for s, e in bounds]
-        for theta_c in cls_grid:
-            seeds = np.nonzero(fg & (best >= theta_c))[0]
-            for i in seeds:
-                r = run_id[i]
-                s, e = bounds[r]
-                key = (s, e, int(best_class[i]))
-                score = float(best[i]) * run_means[r]
-                if score > candidates.get(key, -1.0):
-                    candidates[key] = score
-    out = [
-        Detection(video_id=video_id, start=s, end=e, class_idx=c, score=score)
-        for (s, e, c), score in candidates.items()
+    seeds = best >= lowest
+    # One row per mask threshold; runs are found on all rows at once.
+    n = len(masks)
+    width = n + 1
+    fg = masks >= np.array(sorted(set(float(t) for t in mask_thresholds)))[:, None]
+    padded = np.zeros((len(fg), n + 2), dtype=np.int8)
+    padded[:, 1:-1] = fg
+    edges = np.diff(padded, axis=1).ravel()  # row t, snippet p at t * width + p
+    run_start = np.flatnonzero(edges == 1)
+    run_end = np.flatnonzero(edges == -1) - 1
+    rows, picked = np.nonzero(fg & seeds)
+    run = np.searchsorted(run_start, rows * width + picked, side="right") - 1
+    start, end = run_start[run] % width, run_end[run] % width
+    _, first, run_of = np.unique(start * n + end, return_index=True, return_inverse=True)
+    score = best[picked] * _run_means(masks, start[first], end[first])[run_of]
+    cls = best_class[picked]
+    # Sort by (start, end, class, score) and keep the last, best-scored row per key.
+    order = np.lexsort((score, cls, end, start))
+    start, end, cls, score = start[order], end[order], cls[order], score[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = (start[1:] != start[:-1]) | (end[1:] != end[:-1]) | (cls[1:] != cls[:-1])
+    return [
+        Detection(video_id, s, e, c, v)
+        for s, e, c, v in zip(
+            start[last].tolist(), end[last].tolist(), cls[last].tolist(), score[last].tolist()
+        )
     ]
-    out.sort(key=lambda d: (d.start, d.end, d.class_idx))
-    return out
 
 
 def soft_nms(detections: Sequence[Detection], sigma: float, score_floor: float) -> List[Detection]:
     """Gaussian-decay Soft-NMS over one video's detections of one class.
 
     Repeatedly keeps the highest-scoring remaining detection (score ties break
-    by (start, end, class)) and decays every other remaining score by
-    exp(-tIoU^2 / sigma). Detections whose score ends up below the floor are
-    dropped. Scores never increase.
+    by (start, end, class), then input order) and decays every other
+    remaining score by exp(-tIoU^2 / sigma); a detection that does not
+    overlap the kept one keeps its score exactly. Detections whose score ends
+    up below the floor are dropped. Scores never increase.
     """
-    remaining = [(d.score, d) for d in detections]
+    dets = sorted(detections, key=lambda d: (d.start, d.end, d.class_idx))
+    starts = [d.start for d in dets]
+    ends = [d.end for d in dets]
+    scores = [d.score for d in dets]
+    remaining = list(range(len(dets)))  # ascending, so max() breaks ties by sort order
     kept: List[Detection] = []
     while remaining:
-        best_i = min(
-            range(len(remaining)),
-            key=lambda i: (-remaining[i][0], remaining[i][1].start, remaining[i][1].end, remaining[i][1].class_idx),
-        )
-        score, det = remaining.pop(best_i)
+        pick = max(remaining, key=scores.__getitem__)
+        score = scores[pick]
         if score < score_floor:
             break
-        kept.append(replace(det, score=score))
-        decayed = []
-        for s, d in remaining:
-            iou = temporal_iou(det, d)
-            decayed.append((s * math.exp(-(iou * iou) / sigma), d))
-        remaining = decayed
+        remaining.remove(pick)
+        det = dets[pick]
+        if score != det.score:
+            det = Detection(det.video_id, det.start, det.end, det.class_idx, score)
+        kept.append(det)
+        s, e = det.start, det.end
+        for i in remaining:
+            a, b = starts[i], ends[i]
+            inter = (b if b < e else e) - (a if a > s else s) + 1
+            if inter > 0:  # else the factor is exactly 1.0
+                iou = inter / ((e - s + 1) + (b - a + 1) - inter)
+                scores[i] *= math.exp(-(iou * iou) / sigma)
     return kept
 
 
@@ -158,37 +185,53 @@ class EvalResult:
         raise KeyError(tiou)
 
 
-def _average_precision(dets: List[Detection], gts: List[Tuple[str, ActionInstance]], thr: float) -> float:
-    npos = len(gts)
-    if npos == 0:
-        return float("nan")
-    matched = [False] * npos
-    tp = np.zeros(len(dets))
-    for i, det in enumerate(dets):
-        best_iou = 0.0
-        best_j = -1
-        for j, (vid, inst) in enumerate(gts):
-            if matched[j] or vid != det.video_id:
-                continue
-            iou = temporal_iou(det, inst)
-            if iou > best_iou:
-                best_iou = iou
-                best_j = j
-        if best_j >= 0 and best_iou >= thr:
-            matched[best_j] = True
-            tp[i] = 1.0
-    if len(dets) == 0 or tp.sum() == 0:
+def _average_precision(tp: np.ndarray, npos: int) -> float:
+    """All-points interpolated area under the precision-recall curve of ranked hits."""
+    if not tp.any():
         return 0.0
     cum_tp = np.cumsum(tp)
-    precision = cum_tp / np.arange(1, len(dets) + 1)
+    precision = cum_tp / np.arange(1, len(tp) + 1)
     recall = cum_tp / npos
-    # All-points interpolation: exact area under the PR curve.
     mprec = np.concatenate([[0.0], precision, [0.0]])
     mrec = np.concatenate([[0.0], recall, [1.0]])
-    for i in range(len(mprec) - 2, -1, -1):
-        mprec[i] = max(mprec[i], mprec[i + 1])
+    mprec = np.maximum.accumulate(mprec[::-1])[::-1]  # best precision at or beyond each recall
     idx = np.nonzero(mrec[1:] != mrec[:-1])[0] + 1
     return float(np.sum((mrec[idx] - mrec[idx - 1]) * mprec[idx]))
+
+
+def _class_aps(
+    dets: List[Detection],
+    gts_by_video: Mapping[str, List[Tuple[int, ActionInstance]]],
+    npos: int,
+    tiou_grid: Sequence[float],
+) -> List[float]:
+    """One class's AP at each threshold; dets are in ranking order.
+
+    Each detection's IoUs are computed once, against only its own video's
+    instances (numbered 0..npos-1), and reused at every threshold.
+    """
+    overlaps = []  # (rank, best IoU, [(instance, IoU), ...]) for detections that overlap any
+    for rank, det in enumerate(dets):
+        pairs = [(j, temporal_iou(det, inst)) for j, inst in gts_by_video.get(det.video_id, ())]
+        pairs = [(j, iou) for j, iou in pairs if iou > 0.0]
+        if pairs:
+            overlaps.append((rank, max(iou for _, iou in pairs), pairs))
+    aps = []
+    for thr in tiou_grid:
+        matched = [False] * npos
+        tp = np.zeros(len(dets))
+        for rank, top, pairs in overlaps:
+            if top < thr:
+                continue
+            best_iou, best_j = 0.0, -1
+            for j, iou in pairs:
+                if iou > best_iou and not matched[j]:
+                    best_iou, best_j = iou, j
+            if best_j >= 0 and best_iou >= thr:
+                matched[best_j] = True
+                tp[rank] = 1.0
+        aps.append(_average_precision(tp, npos))
+    return aps
 
 
 def mean_average_precision(
@@ -202,10 +245,13 @@ def mean_average_precision(
     rescaling of scores. Classes that appear only in detections are reported
     as skipped; classes with ground truth but no detections score zero.
     """
-    gt_by_class: Dict[int, List[Tuple[str, ActionInstance]]] = {}
+    gt_by_class: Dict[int, Dict[str, List[Tuple[int, ActionInstance]]]] = {}
+    npos: Dict[int, int] = {}
     for vid, instances in ground_truth.items():
         for inst in instances:
-            gt_by_class.setdefault(inst.class_idx, []).append((vid, inst))
+            j = npos.get(inst.class_idx, 0)
+            gt_by_class.setdefault(inst.class_idx, {}).setdefault(vid, []).append((j, inst))
+            npos[inst.class_idx] = j + 1
     det_by_class: Dict[int, List[Detection]] = {}
     for det in detections:
         det_by_class.setdefault(det.class_idx, []).append(det)
@@ -214,15 +260,14 @@ def mean_average_precision(
 
     classes = sorted(gt_by_class)
     skipped = tuple(sorted(set(det_by_class) - set(classes)))
+    grid = [float(thr) for thr in tiou_grid]
+    aps = [_class_aps(det_by_class.get(cls, []), gt_by_class[cls], npos[cls], grid) for cls in classes]
     per_threshold = []
     per_class = []
-    for thr in tiou_grid:
-        aps = []
-        for cls in classes:
-            ap = _average_precision(det_by_class.get(cls, []), gt_by_class[cls], float(thr))
-            per_class.append((float(thr), cls, ap))
-            aps.append(ap)
-        per_threshold.append((float(thr), float(np.mean(aps)) if aps else 0.0))
+    for k, thr in enumerate(grid):
+        row = [class_aps[k] for class_aps in aps]
+        per_class.extend((thr, cls, ap) for cls, ap in zip(classes, row))
+        per_threshold.append((thr, float(np.mean(row)) if row else 0.0))
     average = float(np.mean([m for _, m in per_threshold])) if per_threshold else 0.0
     return EvalResult(
         per_threshold=tuple(per_threshold),
@@ -275,22 +320,21 @@ def write_detections(path, detections: Sequence[Detection]) -> None:
 
 
 def load_detections(path) -> List[Detection]:
+    """Read a write_detections dump; a line that is not a valid detection with
+    a finite score raises MalformedDetectionError naming path:line."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{line_no}: expected 5 fields, got {len(parts)}")
-            out.append(
-                Detection(
-                    video_id=parts[0],
-                    start=int(parts[1]),
-                    end=int(parts[2]),
-                    class_idx=int(parts[3]),
-                    score=float(parts[4]),
-                )
-            )
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
+            try:
+                parts = raw.decode("utf-8").strip().split("\t")
+                if parts == [""]:
+                    continue
+                if len(parts) != 5:
+                    raise ValueError(f"expected 5 fields, got {len(parts)}")
+                score = float(parts[4])
+                if not math.isfinite(score):
+                    raise ValueError(f"score {parts[4]!r} is not finite")
+                out.append(Detection(parts[0], int(parts[1]), int(parts[2]), int(parts[3]), score))
+            except ValueError as exc:
+                raise MalformedDetectionError(f"{path}:{line_no}: {exc}") from None
     return out

@@ -6,6 +6,8 @@ definitions) and must stay independent of the library code paths it checks.
 
 import math
 
+import numpy as np
+
 
 def brute_force_negatives(probs):
     """Largest ascending-confidence prefix of non-target classes whose
@@ -92,6 +94,75 @@ def brute_force_average_precision(detections, ground_truth, threshold):
             ap += (recalls[i] - prev_recall) * best_prec
             prev_recall = recalls[i]
     return ap
+
+
+def reference_candidates(class_probs, mask_scores, classification_thresholds, mask_thresholds):
+    """Threshold-grid candidates by direct loops over every threshold pair.
+
+    For each mask threshold, every maximal run of mask-positive snippets is
+    found by walking the mask; for each classification threshold, each seed
+    snippet (mask-positive, best action probability at or above the
+    threshold) proposes its run, scored best probability x run mean. Keeps
+    the best score per (start, end, class). class_probs rows hold C action
+    classes then background. Returns [(start, end, class, score)] sorted by
+    (start, end, class).
+    """
+    probs = np.asarray(class_probs, dtype=np.float64)
+    masks = np.asarray(mask_scores, dtype=np.float64)
+    best = {}
+    for theta_m in sorted(set(float(t) for t in mask_thresholds)):
+        runs = []  # (start, end) per maximal mask-positive run
+        i = 0
+        while i < len(masks):
+            if masks[i] >= theta_m:
+                j = i
+                while j + 1 < len(masks) and masks[j + 1] >= theta_m:
+                    j += 1
+                runs.append((i, j))
+                i = j + 1
+            else:
+                i += 1
+        for theta_c in sorted(set(float(t) for t in classification_thresholds)):
+            for s, e in runs:
+                run_mean = float(masks[s : e + 1].mean())
+                for i in range(s, e + 1):
+                    action = [float(p) for p in probs[i, :-1]]
+                    top = max(action)
+                    if top < theta_c:
+                        continue
+                    key = (s, e, action.index(top) + 1)
+                    score = top * run_mean
+                    if score > best.get(key, -1.0):
+                        best[key] = score
+    return sorted(key + (score,) for key, score in best.items())
+
+
+def reference_soft_nms(detections, sigma, score_floor):
+    """Gaussian Soft-NMS by direct rescans.
+
+    detections: [(start, end, class, score)]. Each round keeps the remaining
+    detection with the highest score (ties: smallest (start, end, class),
+    then input order), stops once that score is below the floor, and
+    multiplies every other remaining score by exp(-IoU^2 / sigma). Returns
+    the kept detections with their decayed scores, in the order kept.
+    """
+    remaining = list(detections)
+    kept = []
+    while remaining:
+        best_i = min(
+            range(len(remaining)),
+            key=lambda i: (-remaining[i][3],) + tuple(remaining[i][:3]),
+        )
+        start, end, cls, score = remaining.pop(best_i)
+        if score < score_floor:
+            break
+        kept.append((start, end, cls, score))
+        decayed = []
+        for s, e, c, v in remaining:
+            iou = interval_iou(start, end, s, e)
+            decayed.append((s, e, c, v * math.exp(-(iou * iou) / sigma)))
+        remaining = decayed
+    return kept
 
 
 def finite_difference(fn, x, h=1e-6):

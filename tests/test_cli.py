@@ -111,6 +111,15 @@ class TestExitCodes:
             assert main(command + ["--out", str(tmp_path / "o")]) == 2
         assert generate_calls == []  # reported before any dataset is built
 
+    def test_malformed_detections(self, tmp_path, capsys, generate_calls):
+        good = "v\t0\t4\t1\t0.5\n"
+        for i, bad in enumerate(("v\t0\t4\t1\n", "v\t5\t4\t1\t0.5\n", "v\t0\t4\t1\tnan\n")):
+            path = tmp_path / f"bad{i}.tsv"
+            path.write_text(good + bad)
+            assert main(["evaluate", "--detections", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert f"{path}:2: " in capsys.readouterr().err
+        assert generate_calls == []  # reported before any dataset is built
+
     def test_evaluate_needs_source(self, tmp_path, capsys):
         assert main(["evaluate", "--out", str(tmp_path / "o")]) == 1
 
@@ -158,6 +167,12 @@ class TestEvaluate:
         assert rows[0] == "tiou,map"
         assert rows[-1].startswith("average,")
         assert float(rows[-1].split(",")[1]) == pytest.approx(1.0)
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert f"detections = {len(detections)}" in manifest
+        classes = sorted({d.class_idx for d in detections})
+        for thr in config.tiou_grid:
+            for cls in classes:
+                assert f"ap_tiou_{thr:g}_class_{cls} = 1.0" in manifest
 
 
 class TestSelftrainCommand:

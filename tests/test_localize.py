@@ -6,6 +6,7 @@ import pytest
 from pntal.core import ActionInstance
 from pntal.localize import (
     Detection,
+    MalformedDetectionError,
     generate_candidates,
     load_detections,
     mean_average_precision,
@@ -14,7 +15,7 @@ from pntal.localize import (
     write_detections,
 )
 
-from oracles import brute_force_average_precision
+from oracles import brute_force_average_precision, reference_candidates, reference_soft_nms
 
 
 def det(video="v", start=0, end=9, cls=1, score=0.5):
@@ -145,6 +146,13 @@ class TestMeanAveragePrecision:
         # PR points: (1, 0.5), (0.5, 0.5), (2/3, 1.0) -> AP = 0.5*1 + 0.5*(2/3)
         assert result.map_at(0.5) == pytest.approx(5 / 6, abs=1e-9)
 
+    def test_tie_goes_to_first_instance(self):
+        # [0, 9] overlaps both instances with tIoU 0.5; the first takes it, so
+        # [5, 9] still finds the second and [0, 4] is the false positive.
+        gt = {"v": (ActionInstance(0, 4, 1), ActionInstance(5, 9, 1))}
+        dets = [det("v", 0, 9, 1, 0.9), det("v", 5, 9, 1, 0.8), det("v", 0, 4, 1, 0.7)]
+        assert mean_average_precision(dets, gt, [0.5]).map_at(0.5) == 1.0
+
     def test_input_order_invariance(self):
         rng = np.random.default_rng(3)
         gt, dets = _random_scene(rng)
@@ -187,6 +195,62 @@ class TestMeanAveragePrecision:
             assert result.map_at(thr) == pytest.approx(expected, abs=1e-9)
 
 
+def _random_grid(rng):
+    """1-5 thresholds from a coarse set: unsorted, possibly repeated."""
+    return [float(t) for t in rng.choice([0.0, 0.1, 0.3, 0.5, 0.5, 0.7, 0.9], size=rng.integers(1, 6))]
+
+
+def _random_video_outputs(rng, n):
+    """Class probabilities (3 actions + background) and a piecewise-constant
+    mask whose pieces run up to 400 snippets; coarse values make scores tie."""
+    probs = rng.dirichlet(np.full(4, 0.6), size=n)
+    pieces = []
+    while sum(len(p) for p in pieces) < n:
+        level = rng.choice([0.05, 0.2, 0.4, 0.6, 0.8, 0.95])
+        piece = np.full(int(rng.integers(1, 401)), level)
+        if rng.random() < 0.5:
+            piece = piece + rng.uniform(-0.04, 0.04, size=len(piece))
+        pieces.append(piece)
+    mask = np.concatenate(pieces)[:n]
+    if rng.random() < 0.3:
+        probs = np.round(probs * 4) / 4
+    return probs, mask
+
+
+class TestAgainstLoopReferences:
+    """The library against the plain loop references, with exact equality."""
+
+    def test_candidates_bit_equal(self):
+        rng = np.random.default_rng(11)
+        long_runs = 0
+        for k in range(300):
+            n = int(rng.integers(1, 40)) if k % 10 else int(rng.integers(129, 401))
+            probs, mask = _random_video_outputs(rng, n)
+            cls_grid, mask_grid = _random_grid(rng), _random_grid(rng)
+            got = generate_candidates(f"v{k}", probs, mask, cls_grid, mask_grid)
+            want = reference_candidates(probs, mask, cls_grid, mask_grid)
+            assert [(d.start, d.end, d.class_idx, d.score) for d in got] == want
+            assert all(d.video_id == f"v{k}" for d in got)
+            long_runs += sum(1 for s, e, _, _ in want if e - s + 1 > 128)
+        assert long_runs > 20  # numpy sums more than 128 values in pairwise blocks
+
+    def test_soft_nms_bit_equal(self):
+        rng = np.random.default_rng(12)
+        for k in range(300):
+            rows = []
+            for _ in range(int(rng.integers(0, 25))):
+                s = int(rng.integers(0, 40))
+                score = float(rng.choice([0.25, 0.5, 1.0])) if rng.random() < 0.3 else float(rng.random())
+                rows.append((s, s + int(rng.integers(0, 12)), int(rng.integers(1, 3)), score))
+            rows += rows[: int(rng.integers(0, 3))]  # exact duplicates
+            sigma = float(rng.choice([0.05, 0.3, 0.5, 2.0]))
+            floor = float(rng.choice([0.0, 1.0, 0.1, rng.random()]))
+            got = soft_nms([Detection("v", *row) for row in rows], sigma, floor)
+            assert [(d.start, d.end, d.class_idx, d.score) for d in got] == (
+                reference_soft_nms(rows, sigma, floor)
+            )
+
+
 def _random_scene(rng, n_videos=2, max_gt=4, max_det=8):
     gt = {}
     dets = []
@@ -207,6 +271,64 @@ def _random_scene(rng, n_videos=2, max_gt=4, max_det=8):
             e = s + int(rng.integers(1, 15))
             dets.append(Detection(vid, s, e, int(rng.integers(1, 4)), float(rng.random())))
     return gt, dets
+
+
+def _many_video_scene(rng, n_videos):
+    """Several class-1 instances per video, detections near them and elsewhere."""
+    gt, dets = {}, []
+    for v in range(n_videos):
+        vid = f"video-{v:03d}"
+        instances, cursor = [], 0
+        for _ in range(int(rng.integers(2, 6))):
+            start = cursor + int(rng.integers(0, 8))
+            end = start + int(rng.integers(3, 15))
+            instances.append(ActionInstance(start, end, 1 if rng.random() < 0.7 else 2))
+            cursor = end + 1
+        gt[vid] = tuple(instances)
+        for a, b in zip(instances, instances[1:]):  # spans two neighbours, often a tIoU tie
+            dets.append(Detection(vid, a.start, b.end, 1, round(float(rng.random()), 2)))
+        for inst in instances:
+            for _ in range(int(rng.integers(0, 4))):  # competing detections per instance
+                s = max(0, inst.start + int(rng.integers(-4, 5)))
+                e = max(s, inst.end + int(rng.integers(-4, 5)))
+                dets.append(Detection(vid, s, e, int(rng.integers(1, 3)), round(float(rng.random()), 2)))
+        for _ in range(int(rng.integers(0, 4))):
+            s = int(rng.integers(0, cursor + 10))
+            dets.append(Detection(vid, s, s + int(rng.integers(0, 20)), 1, round(float(rng.random()), 2)))
+    dets.append(Detection("no-such-video", 0, 9, 1, 0.99))
+    return gt, dets
+
+
+def test_map_over_many_videos_matches_brute_force():
+    rng = np.random.default_rng(13)
+    grid = [0.3, 0.5, 0.7]
+    for _ in range(8):
+        gt, dets = _many_video_scene(rng, int(rng.integers(20, 41)))
+        result = mean_average_precision(dets, gt, grid)
+        want = []
+        for thr in grid:
+            for cls in (1, 2):
+                cls_dets = [(d.video_id, d.start, d.end, d.score) for d in dets if d.class_idx == cls]
+                cls_gt = [(vid, i.start, i.end) for vid, insts in gt.items()
+                          for i in insts if i.class_idx == cls]
+                want.append((thr, cls, brute_force_average_precision(cls_dets, cls_gt, thr)))
+        assert [(thr, cls) for thr, cls, _ in result.per_class] == [(thr, cls) for thr, cls, _ in want]
+        for (_, _, got), (_, _, expected) in zip(result.per_class, want):
+            assert got == pytest.approx(expected, abs=1e-9)
+        assert 0.0 < result.average_map < 1.0
+
+
+def test_load_detections_rejects_malformed_lines(tmp_path):
+    good = "v\t0\t4\t1\t0.5\n"
+    for bad in ("v\t0\t4\t1\n", "v\t5\t4\t1\t0.5\n", "v\t0\t4\t0\t0.5\n",
+                "v\tzero\t4\t1\t0.5\n", "v\t0\t4\t1\tnan\n", "v\t0\t4\t1\t-inf\n"):
+        path = tmp_path / "dets.tsv"
+        path.write_text(good + "\n" + bad)
+        with pytest.raises(MalformedDetectionError, match=f"{path}:3: "):
+            load_detections(path)
+    path.write_bytes(good.encode() + b"v\t0\t4\t1\t0.5\xff\n")
+    with pytest.raises(MalformedDetectionError, match=":2: "):
+        load_detections(path)
 
 
 def test_detection_dump_round_trip(tmp_path):
