@@ -1,10 +1,11 @@
 """Experiment runner: configure, run, and summarize training and ablations.
 
 Every run writes a manifest (config snapshot, seed, build id, wall time; for
-scored runs also the detection count and per-class AP) plus metrics as
-structured text and plot-ready CSV. Metrics artifacts are
-byte-identical across reruns with the same seed; only the manifest carries
-wall-clock time. Exit codes: 0 ok, 1 configuration error, 2 runtime error.
+runs that build a dataset also each class's labeled instance count, one value
+per seed for sweeps; for scored runs also the detection count and per-class
+AP) plus metrics as structured text and plot-ready CSV. Metrics artifacts
+are byte-identical across reruns with the same seed; only the manifest
+carries wall-clock time. Exit codes: 0 ok, 1 configuration error, 2 runtime error.
 
 Config files are flat key = value text. Keys must be ExperimentConfig field
 names; unknown keys are rejected so misspelled hyper-parameters fail loudly.
@@ -163,6 +164,23 @@ def write_metrics_jsonl(path: Path, metrics: Sequence[selftrain.EpochMetrics]) -
             fh.write(json.dumps(m.to_dict(), sort_keys=True) + "\n")
 
 
+def _labeled_counts(benchmark: datagen.Benchmark, class_count: int) -> List[int]:
+    """Labeled instances of each class 1..C in the benchmark's labeled videos."""
+    counts = [0] * class_count
+    for video in benchmark.labeled:
+        for inst in video.instances:
+            counts[inst.class_idx - 1] += 1
+    return counts
+
+
+def _labeled_report(*per_dataset: List[int]) -> List[Tuple[str, object]]:
+    """Manifest lines: each class's labeled instance count, one value per dataset."""
+    return [
+        (f"labeled_instances_class_{c}", list(counts))
+        for c, counts in enumerate(zip(*per_dataset), start=1)
+    ]
+
+
 def _evaluation_report(detections, result: localize.EvalResult) -> List[Tuple[str, object]]:
     """Manifest lines for a scored run: detection count and per-class AP at each tIoU."""
     report: List[Tuple[str, object]] = [("detections", len(detections))]
@@ -232,17 +250,20 @@ def _sweep(
     column: str,
     variants: Sequence[Tuple[str, Dict[str, object]]],
     seeds: int,
-) -> None:
+) -> List[Tuple[str, object]]:
     """Run each (label, overrides) variant on consecutive seeds; write a CSV.
 
     Each seed's dataset is generated once and shared by every variant: the
     overrides (objective, lambda) are not inputs to generate_benchmark. Each
-    variant's seed rows are followed by its mean row.
+    variant's seed rows are followed by its mean row. Returns the manifest
+    lines: the seeds and each seed's labeled instance counts.
     """
     seed_list = [config.seed + i for i in range(seeds)]
     maps: List[List[float]] = [[] for _ in variants]
+    labeled_counts = []
     for seed in seed_list:
         benchmark = datagen.generate_benchmark(config.replace(seed=seed))
+        labeled_counts.append(_labeled_counts(benchmark, config.class_count))
         for values, (_, overrides) in zip(maps, variants):
             result = run_experiment(config.replace(seed=seed, **overrides), benchmark=benchmark)
             values.append(result.evaluation.average_map)
@@ -251,6 +272,7 @@ def _sweep(
         rows.extend([label, seed, value] for seed, value in zip(seed_list, values))
         rows.append([label, "mean", float(np.mean(values))])
     write_csv(out / filename, (column, "seed", "average_map"), rows)
+    return [("seeds", seed_list)] + _labeled_report(*labeled_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +280,7 @@ def _sweep(
 # ---------------------------------------------------------------------------
 
 
-def _cmd_generate(config: ExperimentConfig, out: Path) -> None:
+def _cmd_generate(config: ExperimentConfig, out: Path) -> List[Tuple[str, object]]:
     benchmark = datagen.generate_benchmark(config)
     all_videos = list(benchmark.labeled) + list(benchmark.unlabeled) + list(benchmark.test)
     datagen.write_feature_file(out / "features.bin", all_videos, config.class_count, config.feature_dim)
@@ -268,9 +290,10 @@ def _cmd_generate(config: ExperimentConfig, out: Path) -> None:
         for inst in benchmark.sealed[vid]:
             sealed_rows.append([vid, inst.start, inst.end, inst.class_idx])
     write_csv(out / "sealed_truth.csv", ("video_id", "start", "end", "class"), sealed_rows)
+    return _labeled_report(_labeled_counts(benchmark, config.class_count))
 
 
-def _cmd_pretrain(config: ExperimentConfig, out: Path) -> None:
+def _cmd_pretrain(config: ExperimentConfig, out: Path) -> List[Tuple[str, object]]:
     benchmark = datagen.generate_benchmark(config)
     params = selftrain.pretrain(benchmark.labeled, config)
     model.save_params(params, out / "checkpoint.txt")
@@ -279,18 +302,21 @@ def _cmd_pretrain(config: ExperimentConfig, out: Path) -> None:
         ["test_accuracy", selftrain.snippet_accuracy(params, benchmark.test, config)],
     ]
     write_csv(out / "pretrain_metrics.csv", ("metric", "value"), rows)
+    return _labeled_report(_labeled_counts(benchmark, config.class_count))
 
 
 def _cmd_selftrain(
     config: ExperimentConfig, out: Path, params_path: Optional[str]
 ) -> List[Tuple[str, object]]:
     params = None if params_path is None else _load_checkpoint(params_path, config)
-    result = run_experiment(config, params=params)
+    benchmark = datagen.generate_benchmark(config)
+    result = run_experiment(config, benchmark=benchmark, params=params)
     model.save_params(result.params, out / "checkpoint.txt")
     write_metrics_jsonl(out / "metrics.jsonl", result.metrics)
     localize.write_detections(out / "detections.tsv", result.detections)
     write_map_csv(out / "map.csv", result.evaluation)
-    return _evaluation_report(result.detections, result.evaluation)
+    report = _labeled_report(_labeled_counts(benchmark, config.class_count))
+    return report + _evaluation_report(result.detections, result.evaluation)
 
 
 def _cmd_evaluate(
@@ -313,10 +339,11 @@ def _cmd_evaluate(
         detections, localize.ground_truth_map(benchmark.test), config.tiou_grid
     )
     write_map_csv(out / "map.csv", result)
-    return _evaluation_report(detections, result)
+    report = _labeled_report(_labeled_counts(benchmark, config.class_count))
+    return report + _evaluation_report(detections, result)
 
 
-def _cmd_subspace_audit(config: ExperimentConfig, out: Path) -> None:
+def _cmd_subspace_audit(config: ExperimentConfig, out: Path) -> List[Tuple[str, object]]:
     if config.objective == "soft-pseudo":
         raise losses.UnresolvedSupervisionError(
             f"objective {config.objective} assigns no label-space partition"
@@ -340,6 +367,7 @@ def _cmd_subspace_audit(config: ExperimentConfig, out: Path) -> None:
         ["snippet_count", stats.snippet_count],
     ]
     write_csv(out / "subspace.csv", ("subspace", "ground_truth_rate"), rows)
+    return _labeled_report(_labeled_counts(benchmark, config.class_count))
 
 
 # ---------------------------------------------------------------------------
@@ -426,29 +454,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = load_config(args.config, overrides)
         out = _out_dir(args)
         started = time.perf_counter()
-        report = ()
         if args.command == "generate":
-            _cmd_generate(config, out)
+            report = _cmd_generate(config, out)
         elif args.command == "pretrain":
-            _cmd_pretrain(config, out)
+            report = _cmd_pretrain(config, out)
         elif args.command == "selftrain":
             report = _cmd_selftrain(config, out, args.params)
         elif args.command == "evaluate":
             report = _cmd_evaluate(config, out, args.params, args.detections)
         elif args.command == "ablate-losses":
             variants = [(o, {"objective": o}) for o in ("target-only", "target-negative", "hybrid")]
-            _sweep(config, out, "loss_ablation.csv", "objective", variants, args.seeds)
+            report = _sweep(config, out, "loss_ablation.csv", "objective", variants, args.seeds)
         elif args.command == "ablate-lambda":
             variants = [
                 (f"{lam:g}", {"positive_confidence_ratio": float(lam), "objective": "hybrid"})
                 for lam in args.grid
             ]
-            _sweep(config, out, "lambda_sweep.csv", "lambda", variants, args.seeds)
+            report = _sweep(config, out, "lambda_sweep.csv", "lambda", variants, args.seeds)
         elif args.command == "compare-baselines":
             variants = [(o, {"objective": o}) for o in ("soft-pseudo", "complementary", "hybrid")]
-            _sweep(config, out, "baselines.csv", "objective", variants, args.seeds)
+            report = _sweep(config, out, "baselines.csv", "objective", variants, args.seeds)
         elif args.command == "subspace-audit":
-            _cmd_subspace_audit(config, out)
+            report = _cmd_subspace_audit(config, out)
         write_manifest(out, config, args.command, time.perf_counter() - started, report)
         return 0
     except (_UsageError, BadConfigError) as exc:

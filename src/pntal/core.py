@@ -1,9 +1,9 @@
-"""Shared domain types: distributions, label partitions, videos, config.
+"""Shared domain types: action instances, videos, config, and the row softmax.
 
 Class ids are 1-based throughout the public API: action classes are 1..C and
-the background class is C+1. Probability vectors are plain float64 numpy
-arrays of length C+1, where position ``c - 1`` holds the probability of
-class ``c``.
+the background class is C+1. Class distributions are the rows of plain
+float64 numpy arrays of width C+1, where column ``c - 1`` holds the
+probability of class ``c``.
 """
 
 from __future__ import annotations
@@ -15,26 +15,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-PROB_SUM_TOL = 1e-9
-
 
 class Error(Exception):
     """Base for all package-specific errors."""
 
 
-class EmptyVectorError(Error, ValueError):
-    pass
-
-
-class NegativeEntryError(Error, ValueError):
-    pass
-
-
 class NonFiniteError(Error, ValueError):
-    pass
-
-
-class ZeroMassError(Error, ValueError):
     pass
 
 
@@ -46,119 +32,11 @@ class BadConfigError(Error, ValueError):
         super().__init__(f"config field '{fieldname}': {message}")
 
 
-def _as_float_vector(raw) -> np.ndarray:
-    arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected 1-D vector, got shape {arr.shape}")
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class ClassDistribution:
-    """A probability vector over C action classes plus background."""
-
-    probs: np.ndarray
-    class_count: int
-
-    def __post_init__(self):
-        probs = _as_float_vector(self.probs)
-        object.__setattr__(self, "probs", probs)
-        if self.class_count < 1:
-            raise ValueError("class_count must be >= 1")
-        if len(probs) != self.class_count + 1:
-            raise ValueError(
-                f"probs length {len(probs)} != class_count + 1 = {self.class_count + 1}"
-            )
-        if not np.all(np.isfinite(probs)):
-            raise NonFiniteError("distribution entries must be finite")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            raise ValueError("distribution entries must lie in [0, 1]")
-        if abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"distribution sums to {probs.sum()!r}, not 1")
-        probs.flags.writeable = False
-
-    @property
-    def label_count(self) -> int:
-        return self.class_count + 1
-
-    @property
-    def background_index(self) -> int:
-        return self.class_count + 1
-
-    @property
-    def target(self) -> int:
-        """Argmax class id; ties break toward the lowest class index."""
-        return int(np.argmax(self.probs)) + 1
-
-    def prob_of(self, class_idx: int) -> float:
-        return float(self.probs[class_idx - 1])
-
-
-def make_distribution(raw) -> ClassDistribution:
-    """Normalize a non-negative vector into a ClassDistribution.
-
-    Rejects empty input, negative or non-finite entries, and all-zero mass.
-    """
-    arr = _as_float_vector(raw)
-    if arr.size == 0:
-        raise EmptyVectorError("cannot build a distribution from an empty vector")
-    if arr.size < 2:
-        raise EmptyVectorError("need at least two entries (one action class plus background)")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("distribution input must be finite")
-    if np.any(arr < 0.0):
-        raise NegativeEntryError("distribution input must be non-negative")
-    total = float(arr.sum())
-    if total <= 0.0:
-        raise ZeroMassError("distribution input has zero total mass")
-    return ClassDistribution(arr / total, class_count=arr.size - 1)
-
-
-def softmax(logits) -> ClassDistribution:
-    """Numerically stable softmax over logits, as a ClassDistribution."""
-    arr = _as_float_vector(logits)
-    if arr.size < 2:
-        raise EmptyVectorError("need at least two logits")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("logits must be finite")
-    shifted = arr - arr.max()
-    exps = np.exp(shifted)
-    return ClassDistribution(exps / exps.sum(), class_count=arr.size - 1)
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax for a 2-D logit matrix."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
     return exps / exps.sum(axis=1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class LabelPartition:
-    """Disjoint split of the label space {1..C+1} into four subspaces."""
-
-    target: int
-    positives: frozenset
-    negatives: frozenset
-    ambiguous: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "positives", frozenset(self.positives))
-        object.__setattr__(self, "negatives", frozenset(self.negatives))
-        object.__setattr__(self, "ambiguous", frozenset(self.ambiguous))
-        pos, neg, amb = self.positives, self.negatives, self.ambiguous
-        if pos & neg or pos & amb or neg & amb:
-            raise ValueError("partition subspaces must be pairwise disjoint")
-        if self.target in pos or self.target in neg or self.target in amb:
-            raise ValueError("target class must not appear in any other subspace")
-        union = {self.target} | pos | neg | amb
-        n = 1 + len(pos) + len(neg) + len(amb)
-        if union != set(range(1, n + 1)):
-            raise ValueError(f"partition does not cover {{1..{n}}}: {sorted(union)}")
-
-    @property
-    def label_count(self) -> int:
-        return 1 + len(self.positives) + len(self.negatives) + len(self.ambiguous)
 
 
 @dataclass(frozen=True)

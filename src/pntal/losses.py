@@ -1,5 +1,8 @@
-"""Hybrid loss family: target CE, negative loss, positive loss, mask BCE.
+"""Hybrid loss family on batch arrays: target CE, negative, positive, mask BCE.
 
+Per row, ``batch_terms`` takes -log p_t (or -sum q_c log p_c against a soft
+label), -sum log(1 - p_c) over the negatives and -sum log p_c over the
+positives; ``mask_loss`` is the mask head's mean binary cross-entropy.
 Every loss clamps probabilities at 1e-12 before taking logs, so values stay
 finite at degenerate predictions. Each operation returns the loss together
 with its analytic gradient with respect to the classification logits (or the
@@ -14,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ClassDistribution, Error
+from .core import Error
 
 CLAMP = 1e-12
 
@@ -25,62 +28,6 @@ class LengthMismatchError(Error, ValueError):
 
 class UnresolvedSupervisionError(Error, ValueError):
     pass
-
-
-def target_loss(dist: ClassDistribution, target_class: int):
-    """Cross-entropy against a hard target class: -log p_target."""
-    p = dist.probs
-    pt = p[target_class - 1]
-    loss = -np.log(max(pt, CLAMP))
-    grad = p.copy()
-    if pt > CLAMP:
-        grad[target_class - 1] -= 1.0
-    else:
-        grad[:] = 0.0
-    return float(loss), grad
-
-
-def negative_loss(dist: ClassDistribution, negatives):
-    """Push probability away from the negative classes: -sum log(1 - p_c)."""
-    p = dist.probs
-    grad = np.zeros_like(p)
-    if not negatives:
-        return 0.0, grad
-    idx = np.fromiter((c - 1 for c in sorted(negatives)), dtype=np.int64)
-    q = 1.0 - p[idx]
-    loss = -np.log(np.maximum(q, CLAMP)).sum()
-    active = q > CLAMP
-    w = np.where(active, p[idx] / np.where(active, q, 1.0), 0.0)
-    grad[idx] += w
-    grad -= p * w.sum()
-    return float(loss), grad
-
-
-def positive_loss(dist: ClassDistribution, positives):
-    """Pull probability toward the positive classes: -sum log p_c."""
-    p = dist.probs
-    grad = np.zeros_like(p)
-    if not positives:
-        return 0.0, grad
-    idx = np.fromiter((c - 1 for c in sorted(positives)), dtype=np.int64)
-    loss = -np.log(np.maximum(p[idx], CLAMP)).sum()
-    active = p[idx] > CLAMP
-    grad += active.sum() * p
-    grad[idx] -= active.astype(np.float64)
-    return float(loss), grad
-
-
-def soft_target_loss(dist: ClassDistribution, soft_label: np.ndarray):
-    """Cross-entropy against a full soft label: -sum q_c log p_c."""
-    p = dist.probs
-    q = np.asarray(soft_label, dtype=np.float64)
-    if q.shape != p.shape:
-        raise LengthMismatchError("soft label length must match distribution length")
-    active = p > CLAMP
-    loss = -(q * np.log(np.maximum(p, CLAMP))).sum()
-    qa = np.where(active, q, 0.0)
-    grad = qa.sum() * p - qa
-    return float(loss), grad
 
 
 def mask_loss(mask_scores, foreground_targets):

@@ -1,10 +1,12 @@
-"""Adaptive partition of a predicted class distribution into four subspaces.
+"""Adaptive partition of predicted class distributions into four subspaces.
 
-Given a distribution p over {1..C+1}, the target class is the argmax. The
-negative classes are the longest ascending-confidence prefix of the
-non-target classes whose cumulative probability stays <= max(p). The
-positive classes are the remaining non-target classes with confidence
->= ratio * max(p). Everything else is ambiguous.
+Given a distribution p over {1..C+1}, the target class is the argmax (ties
+break toward the lowest class id). The negative classes are the longest
+ascending-confidence prefix of the non-target classes whose cumulative
+probability stays <= max(p). The positive classes are the remaining
+non-target classes with confidence >= ratio * max(p); a class satisfying
+both rules (possible for near-uniform distributions) is negative. Everything
+else is ambiguous.
 
 Comparisons use <= / >= exactly as stated, with no epsilon slack, and sorting
 is stable with ties kept in original class-index order, so the partition is
@@ -15,84 +17,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ClassDistribution, LabelPartition
-
-
-def sort_ascending(dist: ClassDistribution):
-    """Sort probabilities ascending; returns (sorted_probs, class permutation).
-
-    The permutation maps sorted position -> original 1-based class id and is
-    stable: equal probabilities keep their original index order.
-    """
-    order = np.argsort(dist.probs, kind="stable")
-    return dist.probs[order], order + 1
-
-
-def select_negatives(dist: ClassDistribution) -> frozenset:
-    """Bottom-confidence classes whose cumulative mass fits under max(p).
-
-    The target class is never a candidate, even when the whole remaining mass
-    would fit (e.g. a one-hot prediction).
-    """
-    probs = dist.probs
-    target0 = int(np.argmax(probs))
-    order = np.argsort(probs, kind="stable")
-    candidates = order[order != target0]
-    cumulative = np.cumsum(probs[candidates])
-    k = int(np.searchsorted(cumulative, probs[target0], side="right"))
-    return frozenset(int(c) + 1 for c in candidates[:k])
-
-
-def select_positives(dist: ClassDistribution, negatives, ratio: float) -> frozenset:
-    """Non-target, non-negative classes with confidence >= ratio * max(p)."""
-    if not (0.0 < ratio <= 1.0):
-        raise ValueError("ratio must lie in (0, 1]")
-    probs = dist.probs
-    target = int(np.argmax(probs)) + 1
-    cutoff = ratio * float(probs[target - 1])
-    out = []
-    for c in np.nonzero(probs >= cutoff)[0] + 1:
-        c = int(c)
-        if c != target and c not in negatives:
-            out.append(c)
-    return frozenset(out)
-
-
-def partition_label_space(dist: ClassDistribution, ratio: float) -> LabelPartition:
-    """Full four-way partition: target / positives / negatives / ambiguous.
-
-    Negatives take precedence over positives: a class satisfying both rules
-    (possible for near-uniform distributions) is negative.
-    """
-    if not (0.0 < ratio <= 1.0):
-        raise ValueError("ratio must lie in (0, 1]")
-    probs = dist.probs
-    target0 = int(np.argmax(probs))
-    order = np.argsort(probs, kind="stable")
-    candidates = order[order != target0]
-    cumulative = np.cumsum(probs[candidates])
-    k = int(np.searchsorted(cumulative, probs[target0], side="right"))
-    neg = np.zeros(len(probs), dtype=bool)
-    neg[candidates[:k]] = True
-    pos = probs >= ratio * probs[target0]
-    pos[target0] = False
-    pos &= ~neg
-    amb = ~neg & ~pos
-    amb[target0] = False
-    return LabelPartition(
-        target=target0 + 1,
-        positives=frozenset((np.nonzero(pos)[0] + 1).tolist()),
-        negatives=frozenset((np.nonzero(neg)[0] + 1).tolist()),
-        ambiguous=frozenset((np.nonzero(amb)[0] + 1).tolist()),
-    )
-
 
 def partition_rows(probs: np.ndarray, ratio: float):
-    """Vectorized partition of many distributions at once.
+    """Partition each row of an (N, K) row-stochastic matrix.
 
-    probs is an (N, K) row-stochastic matrix. Returns (targets, neg_mask,
+    ratio is the positive cutoff as a fraction of max(p), in (0, 1]; the
+    caller passes ``ExperimentConfig.positive_confidence_ratio``, which the
+    config already restricts to that range. Returns (targets, neg_mask,
     pos_mask): 1-based argmax targets plus boolean (N, K) membership masks.
-    Row semantics match partition_label_space exactly.
+    The target column is in neither mask, and the masks are disjoint; the
+    ambiguous classes are the rest.
     """
     n, k = probs.shape
     rows = np.arange(n)[:, None]

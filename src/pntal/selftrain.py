@@ -28,7 +28,6 @@ import numpy as np
 
 from . import losses, model
 from .core import (
-    ClassDistribution,
     Error,
     ExperimentConfig,
     VideoRecord,
@@ -174,16 +173,6 @@ def sharpen_rows(probs: np.ndarray, temperature: float) -> np.ndarray:
     shifted = scaled - scaled.max(axis=1, keepdims=True)
     out = np.exp(shifted)
     return out / out.sum(axis=1, keepdims=True)
-
-
-def sharpen(dist: ClassDistribution, temperature: float) -> ClassDistribution:
-    """Concentrate a distribution toward its mode; T=1 is the identity."""
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
-    if temperature == 1.0:
-        return dist
-    sharpened = sharpen_rows(dist.probs[None, :], temperature)[0]
-    return ClassDistribution(sharpened, class_count=dist.class_count)
 
 
 def _complement_choice(feature_bytes: bytes, seed: int, epoch: int, label_count: int, target: int) -> int:

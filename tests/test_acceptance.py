@@ -13,16 +13,9 @@ import pytest
 
 from pntal import datagen, localize, model, selftrain
 from pntal.cli import main, run_experiment
-from pntal.core import ExperimentConfig, make_distribution, softmax
-from pntal.losses import (
-    BatchArrays,
-    batch_terms,
-    mask_loss,
-    negative_loss,
-    positive_loss,
-    target_loss,
-)
-from pntal.partition import partition_label_space
+from pntal.core import ExperimentConfig
+from pntal.losses import BatchArrays, batch_terms, mask_loss
+from pntal.partition import partition_rows
 from pntal.selftrain import assign_annotation, build_unlabeled_pool, sealed_label_map
 
 from oracles import (
@@ -31,6 +24,7 @@ from oracles import (
     brute_force_positives,
     softmax_list,
 )
+from test_losses import _one_row
 
 SEEDS = (0, 1, 2, 3, 4)
 LAMBDA_GRID = (0.75, 0.80, 0.85, 0.90)
@@ -47,8 +41,6 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 
 def test_criterion_1_partition_oracle():
-    from pntal.core import ClassDistribution
-
     rng = np.random.default_rng(20240)
     trials = 100_000
     started = time.perf_counter()
@@ -60,15 +52,21 @@ def test_criterion_1_partition_oracle():
         c = int(class_counts[i])
         probs = next(pool[c])
         ratio = float(ratios[i])
-        dist = ClassDistribution(probs, class_count=c)
-        part = partition_label_space(dist, ratio)  # constructor checks the cover
-        if part.negatives != brute_force_negatives(dist.probs):
+        targets, neg_mask, pos_mask = partition_rows(probs[None, :], ratio)
+        target0 = int(targets[0]) - 1
+        # The target is in no other subspace and the masks are disjoint, so
+        # target, negatives, positives and the rest cover the label space once.
+        if neg_mask[0, target0] or pos_mask[0, target0] or (neg_mask & pos_mask).any():
+            report("criterion-1", False, f"disjoint cover violated on {probs!r}")
+        row = probs.tolist()
+        if target0 != row.index(max(row)):
+            report("criterion-1", False, f"target is not the first argmax on {probs!r}")
+        negatives = set((np.flatnonzero(neg_mask[0]) + 1).tolist())
+        if negatives != brute_force_negatives(row):
             report("criterion-1", False, f"negative sets diverge on {probs!r}")
-        if part.positives != brute_force_positives(dist.probs, part.negatives, ratio):
+        positives = set((np.flatnonzero(pos_mask[0]) + 1).tolist())
+        if positives != brute_force_positives(row, negatives, ratio):
             report("criterion-1", False, f"positive sets diverge on {probs!r}")
-        union = {part.target} | part.positives | part.negatives | part.ambiguous
-        if union != set(range(1, dist.label_count + 1)):
-            report("criterion-1", False, "disjoint cover violated")
     elapsed = time.perf_counter() - started
     report(
         "criterion-1",
@@ -83,13 +81,14 @@ def test_criterion_1_partition_oracle():
 
 
 def test_criterion_2_hand_values():
+    # Each loss term of one pseudo-labeled row through batch_terms.
     checks = []
-    loss, _ = target_loss(make_distribution([0.5, 0.3, 0.2]), 1)
+    loss = _one_row([0.5, 0.3, 0.2], 1)[0].target
     checks.append(abs(loss - (-math.log(0.5))) <= 1e-9)
-    loss, _ = negative_loss(make_distribution([0.4, 0.35, 0.2, 0.05]), {4, 3})
+    loss = _one_row([0.4, 0.35, 0.2, 0.05], 1, negatives={4, 3})[0].negative
     checks.append(abs(loss - (-(math.log(0.95) + math.log(0.8)))) <= 1e-9)
     checks.append(abs(loss - 0.27443684570244817) <= 1e-9)
-    loss, _ = positive_loss(make_distribution([0.4, 0.35, 0.2, 0.05]), {2})
+    loss = _one_row([0.4, 0.35, 0.2, 0.05], 1, positives={2})[0].positive
     checks.append(abs(loss - (-math.log(0.35))) <= 1e-9)
     checks.append(abs(loss - 1.0498221244986778) <= 1e-9)
     report("criterion-2", all(checks), "target/negative/positive hand values reproduce to 1e-9")
@@ -126,8 +125,8 @@ def test_criterion_3_gradient_suite():
     for _ in range(cases):
         k = int(rng.integers(3, 8))
         logits = rng.normal(scale=1.5, size=k)
-        dist = softmax(logits)
-        target = int(np.argmax(dist.probs)) + 1
+        probs = softmax_list(list(logits))
+        target = probs.index(max(probs)) + 1
         others = [c for c in range(1, k + 1) if c != target]
         rng.shuffle(others)
         cut = int(rng.integers(1, len(others) + 1))
@@ -135,18 +134,20 @@ def test_criterion_3_gradient_suite():
         positives = set(others[cut:]) or {others[0]}
         positives -= negatives
 
-        _, g = target_loss(dist, target)
-        ok = _fd_close(g, fd_logits(lambda z: -math.log(max(softmax_list(z)[target - 1], 1e-12)), logits))
-        if not ok:
+        # batch_terms returns the gradient of a row's whole loss, so a row
+        # with a set is checked against the target's differences plus the set's.
+        fd_target = fd_logits(lambda z: -math.log(max(softmax_list(z)[target - 1], 1e-12)), logits)
+        _, g = _one_row(probs, target)
+        if not _fd_close(g, fd_target):
             report("criterion-3", False, "target loss gradient mismatch")
-        _, g = negative_loss(dist, negatives)
-        ok = _fd_close(g, fd_logits(
+        _, g = _one_row(probs, target, negatives=negatives)
+        ok = _fd_close(g, fd_target + fd_logits(
             lambda z: -sum(math.log(max(1 - softmax_list(z)[c - 1], 1e-12)) for c in negatives), logits))
         if not ok:
             report("criterion-3", False, "negative loss gradient mismatch")
         if positives:
-            _, g = positive_loss(dist, positives)
-            ok = _fd_close(g, fd_logits(
+            _, g = _one_row(probs, target, positives=positives)
+            ok = _fd_close(g, fd_target + fd_logits(
                 lambda z: -sum(math.log(max(softmax_list(z)[c - 1], 1e-12)) for c in positives), logits))
             if not ok:
                 report("criterion-3", False, "positive loss gradient mismatch")

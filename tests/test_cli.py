@@ -29,6 +29,21 @@ seed = 5
 """
 
 
+def assert_labeled_counts(out, config, seeds=None):
+    """The manifest's labeled_instances_class_<c> lines: for each class, the
+    labeled instances in each seed's generate_benchmark, counted here."""
+    seeds = [config.seed] if seeds is None else seeds
+    counts = {c: [] for c in range(1, config.class_count + 1)}
+    for seed in seeds:
+        labeled = datagen.generate_benchmark(config.replace(seed=seed)).labeled
+        for c in counts:
+            counts[c].append(sum(inst.class_idx == c for v in labeled for inst in v.instances))
+    want = [f"labeled_instances_class_{c} = {' '.join(map(str, n))}" for c, n in counts.items()]
+    got = [line for line in (out / "manifest.txt").read_text().splitlines()
+           if line.startswith("labeled_instances_class_")]
+    assert got == want
+
+
 @pytest.fixture
 def tiny_config_file(tmp_path):
     path = tmp_path / "tiny.cfg"
@@ -146,6 +161,11 @@ class TestGenerate:
         videos = datagen.load_feature_file(out / "features.bin")
         assert len(videos) == 8 + 3
 
+    def test_labeled_instance_counts(self, tiny_config_file, tmp_path):
+        out = tmp_path / "gen"
+        assert main(["generate", "--config", tiny_config_file, "--out", str(out)]) == 0
+        assert_labeled_counts(out, load_config(tiny_config_file, {}))
+
 
 class TestEvaluate:
     def test_perfect_detector_fixture(self, tiny_config_file, tmp_path):
@@ -173,6 +193,7 @@ class TestEvaluate:
         for thr in config.tiou_grid:
             for cls in classes:
                 assert f"ap_tiou_{thr:g}_class_{cls} = 1.0" in manifest
+        assert_labeled_counts(out, config)
 
 
 class TestSelftrainCommand:
@@ -204,6 +225,9 @@ class TestSelftrainCommand:
         assert main(["selftrain", "--config", tiny_config_file, "--out", str(plain_out)]) == 0
         for name in ("metrics.jsonl", "map.csv", "detections.tsv", "checkpoint.txt"):
             assert (st_out / name).read_bytes() == (plain_out / name).read_bytes()
+        config = load_config(tiny_config_file, {})
+        for out in (pre_out, st_out, plain_out):
+            assert_labeled_counts(out, config)
 
 
 class TestSweeps:
@@ -243,6 +267,7 @@ class TestSweeps:
         assert labels[:4] == ["target", "positive", "ambiguous", "negative"]
         values = [float(row.split(",")[1]) for row in rows[1:5]]
         assert sum(values) == pytest.approx(1.0, abs=1e-9)
+        assert_labeled_counts(out, load_config(tiny_config_file, {}))
 
     @pytest.mark.parametrize("objective", ["hybrid", "complementary"])
     def test_subspace_audit_matches_annotated_videos(self, tiny_config_file, tmp_path, objective):
@@ -315,11 +340,13 @@ class TestSweeps:
         assert main([command, "--config", tiny_config_file, "--out", str(out),
                      "--seeds", "2"] + extra) == 0
         assert generate_calls == [5, 6]  # one dataset per seed, not per (variant, seed)
+        config = load_config(tiny_config_file, {})
+        assert "seeds = 5 6" in (out / "manifest.txt").read_text().splitlines()
+        assert_labeled_counts(out, config, seeds=[5, 6])
         rows = [row.split(",") for row in (out / filename).read_text().strip().splitlines()[1:]]
         assert [row[:2] for row in rows] == [
             [label, seed] for label, _ in variants for seed in ("5", "6", "mean")
         ]
-        config = load_config(tiny_config_file, {})
         for i, (_, overrides) in enumerate(variants):
             seed_rows = rows[3 * i : 3 * i + 2]
             for seed, row in zip((5, 6), seed_rows):

@@ -6,113 +6,48 @@ import pytest
 from pntal.core import (
     ActionInstance,
     BadConfigError,
-    EmptyVectorError,
     ExperimentConfig,
-    LabelPartition,
-    NegativeEntryError,
     NonFiniteError,
     VideoRecord,
-    ZeroMassError,
-    make_distribution,
     snippet_true_labels,
-    softmax,
+    softmax_rows,
 )
 
-
-class TestMakeDistribution:
-    def test_normalizes(self):
-        dist = make_distribution([2, 1, 1])
-        assert np.allclose(dist.probs, [0.5, 0.25, 0.25])
-        assert dist.class_count == 2
-
-    def test_already_normalized(self):
-        dist = make_distribution([1, 0, 0])
-        assert np.array_equal(dist.probs, [1.0, 0.0, 0.0])
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(NegativeEntryError):
-            make_distribution([0.3, -0.1])
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyVectorError):
-            make_distribution([])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteError):
-            make_distribution([1.0, float("nan")])
-        with pytest.raises(NonFiniteError):
-            make_distribution([1.0, float("inf")])
-
-    def test_zero_mass_rejected(self):
-        with pytest.raises(ZeroMassError):
-            make_distribution([0.0, 0.0, 0.0])
-
-    def test_sum_property_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(500):
-            size = rng.integers(2, 40)
-            raw = rng.random(size) * rng.uniform(0.01, 100)
-            dist = make_distribution(raw)
-            assert abs(dist.probs.sum() - 1.0) <= 1e-9
-
-    def test_probs_read_only(self):
-        dist = make_distribution([1, 1])
-        with pytest.raises(ValueError):
-            dist.probs[0] = 0.7
+from oracles import softmax_list
 
 
 class TestSoftmax:
+    """core.softmax_rows against hand values and softmax_list."""
+
     def test_symmetry(self):
-        dist = softmax([0.0, 0.0, 0.0])
-        assert np.allclose(dist.probs, [1 / 3] * 3)
+        probs = softmax_rows(np.zeros((1, 3)))
+        assert np.allclose(probs, [[1 / 3] * 3])
 
     def test_stability_under_large_logits(self):
-        dist = softmax([1000.0, 0.0])
-        assert np.all(np.isfinite(dist.probs))
-        assert dist.probs[0] == pytest.approx(1.0)
-        assert dist.probs[1] == pytest.approx(0.0, abs=1e-12)
+        probs = softmax_rows(np.array([[1000.0, 0.0]]))
+        assert np.all(np.isfinite(probs))
+        assert probs[0, 0] == pytest.approx(1.0)
+        assert probs[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value(self):
-        dist = softmax([math.log(2.0), 0.0])
-        assert dist.probs[0] == pytest.approx(2 / 3, abs=1e-12)
-        assert dist.probs[1] == pytest.approx(1 / 3, abs=1e-12)
+        probs = softmax_rows(np.array([[math.log(2.0), 0.0]]))
+        assert probs[0, 0] == pytest.approx(2 / 3, abs=1e-12)
+        assert probs[0, 1] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            logits = rng.normal(size=rng.integers(2, 12))
+            logits = rng.normal(size=(1, rng.integers(2, 12)))
             shift = rng.uniform(-50, 50)
-            a = softmax(logits).probs
-            b = softmax(logits + shift).probs
+            a = softmax_rows(logits)
+            b = softmax_rows(logits + shift)
             assert np.all(np.abs(a - b) <= 1e-12)
+            assert np.all(np.abs(a[0] - softmax_list(logits[0].tolist())) <= 1e-12)
 
     def test_argmax_consistency(self):
         rng = np.random.default_rng(2)
-        for _ in range(200):
-            logits = rng.normal(size=6)
-            assert int(np.argmax(softmax(logits).probs)) == int(np.argmax(logits))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteError):
-            softmax([1.0, float("inf")])
-
-
-class TestLabelPartition:
-    def test_valid(self):
-        part = LabelPartition(target=1, positives={2}, negatives={4, 5}, ambiguous={3})
-        assert part.label_count == 5
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            LabelPartition(target=1, positives={2}, negatives={2, 3}, ambiguous=set())
-
-    def test_target_in_set_rejected(self):
-        with pytest.raises(ValueError):
-            LabelPartition(target=2, positives={2}, negatives={3}, ambiguous={1})
-
-    def test_gap_rejected(self):
-        with pytest.raises(ValueError):
-            LabelPartition(target=1, positives={2}, negatives={5}, ambiguous=set())
+        logits = rng.normal(size=(200, 6))
+        assert np.array_equal(np.argmax(softmax_rows(logits), axis=1), np.argmax(logits, axis=1))
 
 
 class TestSnippetTypes:

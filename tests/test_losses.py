@@ -3,97 +3,151 @@ import math
 import numpy as np
 import pytest
 
-from pntal.core import (
-    ClassDistribution,
-    ExperimentConfig,
-    make_distribution,
-    softmax,
-)
+from pntal.core import ExperimentConfig
 from pntal.losses import (
     BatchArrays,
     LengthMismatchError,
     batch_terms,
     mask_loss,
-    negative_loss,
-    positive_loss,
-    soft_target_loss,
-    target_loss,
 )
 
 from oracles import assert_gradients_close, finite_difference, softmax_list
 
 
+def _batch(probs, mask_scores, rows, mask_targets=None):
+    """BatchArrays with one row per probability vector.
+
+    A row is ("gt", class), ("pseudo", target, negatives, positives) or
+    ("soft", soft_label). A ground-truth row takes every non-target class as
+    negative, as under the hybrid and target-negative objectives.
+    """
+    n, k = len(rows), len(probs[0])
+    if mask_targets is None:
+        mask_targets = [None] * n
+    arrays = BatchArrays(
+        probs=np.array(probs, dtype=np.float64),
+        mask_scores=np.asarray(mask_scores, dtype=np.float64),
+        labeled=np.array([row[0] == "gt" for row in rows]),
+        targets=np.zeros(n, dtype=np.int64),
+        neg_mask=np.zeros((n, k), dtype=bool),
+        pos_mask=np.zeros((n, k), dtype=bool),
+        mask_targets=np.array([np.nan if t is None else t for t in mask_targets]),
+    )
+    for i, row in enumerate(rows):
+        if row[0] == "gt":
+            arrays.targets[i] = row[1]
+            arrays.neg_mask[i] = True
+            arrays.neg_mask[i, row[1] - 1] = False
+        elif row[0] == "pseudo":
+            _, target, negatives, positives = row
+            arrays.targets[i] = target
+            arrays.neg_mask[i, [c - 1 for c in negatives]] = True
+            arrays.pos_mask[i, [c - 1 for c in positives]] = True
+        else:
+            if arrays.soft is None:
+                arrays.soft = np.full((n, k), np.nan)
+            arrays.soft[i] = row[1]
+            arrays.targets[i] = int(np.argmax(row[1])) + 1
+    return arrays
+
+
+def _one_row(probs, target, negatives=(), positives=()):
+    """batch_terms on one pseudo-labeled row of weight 1: (breakdown, logit gradient).
+
+    The breakdown's target, negative and positive fields are the row's three
+    loss terms; the gradient is that of their sum.
+    """
+    arrays = _batch([probs], [0.5], [("pseudo", target, set(negatives), set(positives))])
+    breakdown, grad, _ = batch_terms(arrays, alpha=1.0)
+    return breakdown, grad[0]
+
+
+def _target_fn(target):
+    """-log p_target of the softmax of a logit list, written with math.log."""
+    return lambda z: -math.log(max(softmax_list(z)[target - 1], 1e-12))
+
+
+def _negative_fn(negatives):
+    return lambda z: -sum(math.log(max(1.0 - softmax_list(z)[c - 1], 1e-12)) for c in negatives)
+
+
+def _positive_fn(positives):
+    return lambda z: -sum(math.log(max(softmax_list(z)[c - 1], 1e-12)) for c in positives)
+
+
 class TestTargetLoss:
     def test_hand_value(self):
-        loss, _ = target_loss(make_distribution([0.5, 0.3, 0.2]), 1)
-        assert loss == pytest.approx(-math.log(0.5), abs=1e-9)
+        breakdown, _ = _one_row([0.5, 0.3, 0.2], 1)
+        assert breakdown.target == pytest.approx(-math.log(0.5), abs=1e-9)
 
     def test_perfect_prediction(self):
-        loss, _ = target_loss(make_distribution([1, 0, 0]), 1)
-        assert loss == 0.0
+        breakdown, _ = _one_row([1.0, 0.0, 0.0], 1)
+        assert breakdown.target == 0.0
 
     def test_uniform(self):
-        loss, _ = target_loss(make_distribution([1, 1, 1]), 2)
-        assert loss == pytest.approx(math.log(3.0), abs=1e-9)
+        breakdown, _ = _one_row([1 / 3] * 3, 2)
+        assert breakdown.target == pytest.approx(math.log(3.0), abs=1e-9)
 
     def test_zero_iff_certain(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            dist = make_distribution(rng.random(5) + 1e-3)
-            loss, _ = target_loss(dist, 2)
-            assert (loss == 0.0) == (dist.probs[1] == 1.0)
-            assert loss >= 0.0
+            raw = rng.random(5) + 1e-3
+            probs = raw / raw.sum()
+            breakdown, _ = _one_row(probs, 2)
+            assert (breakdown.target == 0.0) == (probs[1] == 1.0)
+            assert breakdown.target >= 0.0
 
 
 class TestNegativeLoss:
     def test_hand_value(self):
-        loss, _ = negative_loss(make_distribution([0.4, 0.35, 0.2, 0.05]), {4, 3})
-        assert loss == pytest.approx(-(math.log(0.95) + math.log(0.8)), abs=1e-9)
-        assert loss == pytest.approx(0.274437, abs=1e-6)
+        breakdown, _ = _one_row([0.4, 0.35, 0.2, 0.05], 1, negatives={4, 3})
+        assert breakdown.negative == pytest.approx(-(math.log(0.95) + math.log(0.8)), abs=1e-9)
+        assert breakdown.negative == pytest.approx(0.274437, abs=1e-6)
 
     def test_empty_set(self):
-        loss, grad = negative_loss(make_distribution([0.5, 0.5]), set())
-        assert loss == 0.0
-        assert np.array_equal(grad, np.zeros(2))
+        breakdown, grad = _one_row([0.5, 0.5], 1)
+        assert breakdown.negative == 0.0
+        assert np.array_equal(grad, [-0.5, 0.5])  # p - e_target: the target term alone
 
     def test_zero_probability_negatives(self):
-        loss, _ = negative_loss(make_distribution([1, 0, 0]), {2, 3})
-        assert loss == 0.0
+        breakdown, _ = _one_row([1.0, 0.0, 0.0], 1, negatives={2, 3})
+        assert breakdown.negative == 0.0
 
     def test_descent_direction(self):
+        # A step against the row's gradient moves mass off its negatives.
         rng = np.random.default_rng(1)
         for _ in range(50):
             logits = rng.normal(size=6)
-            dist = softmax(logits)
-            negatives = {5, 6}
-            _, grad = negative_loss(dist, negatives)
-            stepped = softmax(logits - 1e-3 * grad)
-            before = sum(dist.probs[c - 1] for c in negatives)
-            after = sum(stepped.probs[c - 1] for c in negatives)
+            probs = np.array(softmax_list(list(logits)))
+            target = int(np.argmax(probs)) + 1
+            negatives = {5, 6} - {target}
+            _, grad = _one_row(probs, target, negatives=negatives)
+            stepped = softmax_list(list(logits - 1e-3 * grad))
+            before = sum(probs[c - 1] for c in negatives)
+            after = sum(stepped[c - 1] for c in negatives)
             assert after < before
 
 
 class TestPositiveLoss:
     def test_hand_value(self):
-        loss, _ = positive_loss(make_distribution([0.4, 0.35, 0.2, 0.05]), {2})
-        assert loss == pytest.approx(-math.log(0.35), abs=1e-9)
-        assert loss == pytest.approx(1.049822, abs=1e-6)
+        breakdown, _ = _one_row([0.4, 0.35, 0.2, 0.05], 1, positives={2})
+        assert breakdown.positive == pytest.approx(-math.log(0.35), abs=1e-9)
+        assert breakdown.positive == pytest.approx(1.049822, abs=1e-6)
 
     def test_empty_set(self):
-        loss, grad = positive_loss(make_distribution([0.5, 0.5]), set())
-        assert loss == 0.0
-        assert np.array_equal(grad, np.zeros(2))
+        breakdown, grad = _one_row([0.5, 0.5], 1)
+        assert breakdown.positive == 0.0
+        assert np.array_equal(grad, [-0.5, 0.5])  # p - e_target: the target term alone
 
     def test_two_positives(self):
-        loss, _ = positive_loss(make_distribution([0.4, 0.3, 0.3]), {2, 3})
-        assert loss == pytest.approx(-2.0 * math.log(0.3), abs=1e-9)
-        assert loss == pytest.approx(2.407946, abs=1e-6)
+        breakdown, _ = _one_row([0.4, 0.3, 0.3], 1, positives={2, 3})
+        assert breakdown.positive == pytest.approx(-2.0 * math.log(0.3), abs=1e-9)
+        assert breakdown.positive == pytest.approx(2.407946, abs=1e-6)
 
     def test_minimized_toward_certainty(self):
         losses = []
         for p in (0.2, 0.5, 0.9, 0.99):
-            dist = make_distribution([1.0 - p, p])
-            losses.append(positive_loss(dist, {2})[0])
+            losses.append(_one_row([1.0 - p, p], 1, positives={2})[0].positive)
         assert losses == sorted(losses, reverse=True)
 
 
@@ -127,78 +181,39 @@ class TestMaskLoss:
 
 @pytest.mark.parametrize("case", ["target", "negative", "positive", "soft"])
 def test_gradients_match_finite_differences(case):
+    """batch_terms' logit gradient of one row against finite differences of
+    the row's whole loss, written with math.log."""
     rng = np.random.default_rng(hash(case) % 2**32)
     for _ in range(60):
         k = int(rng.integers(3, 9))
         logits = rng.normal(scale=1.5, size=k)
-        dist = softmax(logits)
+        probs = softmax_list(list(logits))
         if case == "target":
             target = int(rng.integers(1, k + 1))
-            _, grad = target_loss(dist, target)
-            fn = lambda z: -math.log(max(softmax_list(z)[target - 1], 1e-12))
-        elif case == "negative":
-            target = int(np.argmax(dist.probs)) + 1
-            pool = [c for c in range(1, k + 1) if c != target]
-            rng.shuffle(pool)
-            negatives = set(pool[: rng.integers(1, len(pool) + 1)])
-            _, grad = negative_loss(dist, negatives)
-            fn = lambda z: -sum(
-                math.log(max(1.0 - softmax_list(z)[c - 1], 1e-12)) for c in negatives
-            )
-        elif case == "positive":
-            target = int(np.argmax(dist.probs)) + 1
-            pool = [c for c in range(1, k + 1) if c != target]
-            rng.shuffle(pool)
-            positives = set(pool[: rng.integers(1, len(pool) + 1)])
-            _, grad = positive_loss(dist, positives)
-            fn = lambda z: -sum(
-                math.log(max(softmax_list(z)[c - 1], 1e-12)) for c in positives
-            )
-        else:
+            _, grad = _one_row(probs, target)
+            fn = _target_fn(target)
+        elif case == "soft":
             q = rng.dirichlet(np.ones(k))
-            _, grad = soft_target_loss(dist, q)
+            _, grad, _ = batch_terms(_batch([probs], [0.5], [("soft", q)]), alpha=1.0)
+            grad = grad[0]
             fn = lambda z: -sum(
                 qc * math.log(max(pc, 1e-12)) for qc, pc in zip(q, softmax_list(z))
             )
+        else:
+            target = probs.index(max(probs)) + 1
+            pool = [c for c in range(1, k + 1) if c != target]
+            rng.shuffle(pool)
+            chosen = set(pool[: rng.integers(1, len(pool) + 1)])
+            if case == "negative":
+                _, grad = _one_row(probs, target, negatives=chosen)
+                set_fn = _negative_fn(chosen)
+            else:
+                _, grad = _one_row(probs, target, positives=chosen)
+                set_fn = _positive_fn(chosen)
+            target_fn = _target_fn(target)
+            fn = lambda z: target_fn(z) + set_fn(z)
         numeric = finite_difference(fn, list(logits))
         assert_gradients_close(grad, numeric)
-
-
-def _batch(dists, mask_scores, rows, mask_targets=None):
-    """BatchArrays with one row per distribution.
-
-    A row is ("gt", class), ("pseudo", target, negatives, positives) or
-    ("soft", soft_label). A ground-truth row takes every non-target class as
-    negative, as under the hybrid and target-negative objectives.
-    """
-    n, k = len(rows), dists[0].label_count
-    if mask_targets is None:
-        mask_targets = [None] * n
-    arrays = BatchArrays(
-        probs=np.stack([d.probs for d in dists]),
-        mask_scores=np.asarray(mask_scores, dtype=np.float64),
-        labeled=np.array([row[0] == "gt" for row in rows]),
-        targets=np.zeros(n, dtype=np.int64),
-        neg_mask=np.zeros((n, k), dtype=bool),
-        pos_mask=np.zeros((n, k), dtype=bool),
-        mask_targets=np.array([np.nan if t is None else t for t in mask_targets]),
-    )
-    for i, row in enumerate(rows):
-        if row[0] == "gt":
-            arrays.targets[i] = row[1]
-            arrays.neg_mask[i] = True
-            arrays.neg_mask[i, row[1] - 1] = False
-        elif row[0] == "pseudo":
-            _, target, negatives, positives = row
-            arrays.targets[i] = target
-            arrays.neg_mask[i, [c - 1 for c in negatives]] = True
-            arrays.pos_mask[i, [c - 1 for c in positives]] = True
-        else:
-            if arrays.soft is None:
-                arrays.soft = np.full((n, k), np.nan)
-            arrays.soft[i] = row[1]
-            arrays.targets[i] = int(np.argmax(row[1])) + 1
-    return arrays
 
 
 def _loss(arrays, config):
@@ -209,58 +224,51 @@ def _loss(arrays, config):
 
 
 def _batch_fixture():
-    dists = [
-        make_distribution([0.5, 0.3, 0.2]),
-        make_distribution([0.2, 0.5, 0.3]),
-        make_distribution([0.3, 0.3, 0.4]),
-    ]
+    probs = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]
     rows = [("gt", 1), ("pseudo", 2, {1}, {3}), ("pseudo", 3, set(), set())]
-    return rows, dists, [1.0, None, None]
+    return rows, probs, [1.0, None, None]
 
 
 class TestCombinedLoss:
     def test_single_labeled_snippet(self):
-        dists = [make_distribution([0.5, 0.3, 0.2])]
         config = ExperimentConfig(objective="hybrid")
-        breakdown = _loss(_batch(dists, [0.5], [("gt", 1)]), config)
+        breakdown = _loss(_batch([[0.5, 0.3, 0.2]], [0.5], [("gt", 1)]), config)
         assert breakdown.target == pytest.approx(-math.log(0.5), abs=1e-9)
         assert breakdown.negative == pytest.approx(-(math.log(0.7) + math.log(0.8)), abs=1e-9)
         assert breakdown.negative == pytest.approx(0.579818, abs=1e-6)
         assert breakdown.positive == 0.0
 
     def test_pseudo_with_empty_sets(self):
-        dists = [make_distribution([0.5, 0.3, 0.2])]
         config = ExperimentConfig(unlabeled_loss_weight=0.7)
-        breakdown = _loss(_batch(dists, [0.5], [("pseudo", 1, set(), set())]), config)
+        breakdown = _loss(_batch([[0.5, 0.3, 0.2]], [0.5], [("pseudo", 1, set(), set())]), config)
         assert breakdown.total == pytest.approx(0.7 * -math.log(0.5), abs=1e-12)
         assert breakdown.positive == 0.0
         assert breakdown.negative == 0.0
 
     def test_alpha_zero_kills_unlabeled(self):
-        rows, dists, mask_targets = _batch_fixture()
+        rows, probs, mask_targets = _batch_fixture()
         config = ExperimentConfig(unlabeled_loss_weight=0.0)
-        breakdown = _loss(_batch(dists, [0.5, 0.5, 0.5], rows, mask_targets), config)
-        only_labeled = _loss(_batch(dists[:1], [0.5], rows[:1], mask_targets[:1]), config)
+        breakdown = _loss(_batch(probs, [0.5, 0.5, 0.5], rows, mask_targets), config)
+        only_labeled = _loss(_batch(probs[:1], [0.5], rows[:1], mask_targets[:1]), config)
         assert breakdown.target == pytest.approx(only_labeled.target, abs=1e-12)
         assert breakdown.positive == 0.0
 
     def test_total_decomposes(self):
-        rows, dists, mask_targets = _batch_fixture()
+        rows, probs, mask_targets = _batch_fixture()
         config = ExperimentConfig(unlabeled_loss_weight=0.7)
-        b = _loss(_batch(dists, [0.6, 0.4, 0.5], rows, mask_targets), config)
+        b = _loss(_batch(probs, [0.6, 0.4, 0.5], rows, mask_targets), config)
         assert b.total == pytest.approx(b.target + b.positive + b.negative + b.mask, abs=1e-12)
 
     def test_soft_supervision(self):
-        q = np.array([0.6, 0.3, 0.1])
-        dist = make_distribution([0.5, 0.3, 0.2])
+        q = [0.6, 0.3, 0.1]
+        probs = [0.5, 0.3, 0.2]
         config = ExperimentConfig(unlabeled_loss_weight=1.0, objective="soft-pseudo")
-        breakdown = _loss(_batch([dist], [0.5], [("soft", q)]), config)
-        expected = -(q * np.log(dist.probs)).sum()
+        breakdown = _loss(_batch([probs], [0.5], [("soft", q)]), config)
+        expected = -sum(qc * math.log(pc) for qc, pc in zip(q, probs))
         assert breakdown.target == pytest.approx(expected, abs=1e-12)
 
     def test_set_normalization_flag(self):
-        dists = [make_distribution([0.5, 0.3, 0.2])]
-        arrays = _batch(dists, [0.5], [("gt", 1)])
+        arrays = _batch([[0.5, 0.3, 0.2]], [0.5], [("gt", 1)])
         raw = _loss(arrays, ExperimentConfig())
         norm = _loss(arrays, ExperimentConfig(normalize_set_losses=True))
         assert norm.negative == pytest.approx(raw.negative / 2.0, abs=1e-12)
@@ -299,14 +307,12 @@ def test_batch_terms_matches_per_snippet_ops():
     n_lab = labeled.sum()
     n_uns = n - n_lab
     expect_target = expect_neg = expect_pos = 0.0
-    for i in range(n):
-        dist = ClassDistribution(probs[i], class_count=k - 1)
+    # Each row's terms by their definitions, with math.log.
+    for i, row in enumerate(probs.tolist()):
         w = 1.0 / n_lab if labeled[i] else alpha / n_uns
-        expect_target += w * target_loss(dist, targets[i])[0]
-        negs = set(np.nonzero(neg_mask[i])[0] + 1)
-        poss = set(np.nonzero(pos_mask[i])[0] + 1)
-        expect_neg += w * negative_loss(dist, negs)[0]
-        expect_pos += w * positive_loss(dist, poss)[0]
+        expect_target += w * -math.log(row[targets[i] - 1])
+        expect_neg += w * -sum(math.log(1.0 - row[c]) for c in np.nonzero(neg_mask[i])[0])
+        expect_pos += w * -sum(math.log(row[c]) for c in np.nonzero(pos_mask[i])[0])
     assert breakdown.target == pytest.approx(expect_target, abs=1e-12)
     assert breakdown.negative == pytest.approx(expect_neg, abs=1e-12)
     assert breakdown.positive == pytest.approx(expect_pos, abs=1e-12)

@@ -1,123 +1,113 @@
 import numpy as np
-import pytest
 
-from pntal.core import make_distribution
-from pntal.partition import (
-    partition_label_space,
-    partition_rows,
-    select_negatives,
-    select_positives,
-    sort_ascending,
-)
+from pntal.partition import partition_rows
 
 from oracles import brute_force_negatives, brute_force_positives
 
 
+def partition_one(probs, ratio=0.85):
+    """partition_rows on one distribution, as (target, negatives, positives, ambiguous).
+
+    Also checks the masks' invariants: the target is in neither mask and the
+    masks are disjoint, so the four subspaces cover the label space exactly.
+    """
+    targets, neg_mask, pos_mask = partition_rows(np.asarray(probs, dtype=np.float64)[None, :], ratio)
+    target = int(targets[0])
+    negatives = set((np.nonzero(neg_mask[0])[0] + 1).tolist())
+    positives = set((np.nonzero(pos_mask[0])[0] + 1).tolist())
+    assert target not in negatives and target not in positives
+    assert not negatives & positives
+    ambiguous = set(range(1, len(probs) + 1)) - {target} - negatives - positives
+    return target, negatives, positives, ambiguous
+
+
 class TestSortAscending:
+    """Non-target classes are taken as negatives in ascending, stable order."""
+
     def test_basic(self):
-        sorted_probs, perm = sort_ascending(make_distribution([0.5, 0.3, 0.2]))
-        assert np.allclose(sorted_probs, [0.2, 0.3, 0.5])
-        assert list(perm) == [3, 2, 1]
+        assert partition_one([0.5, 0.3, 0.2])[1] == {2, 3}  # 0.2 + 0.3 <= 0.5
+        # Descending order would take class 2 first and class 3 next (0.45 <= 0.45).
+        assert partition_one([0.45, 0.3, 0.15, 0.1])[1] == {3, 4}
 
     def test_stable_ties(self):
-        _, perm = sort_ascending(make_distribution([0.25, 0.25, 0.5]))
-        assert list(perm) == [1, 2, 3]
+        assert partition_one([0.25, 0.25, 0.5])[1] == {1, 2}
+        # Of two tied classes the lower id comes first; only one fits under 0.4.
+        assert partition_one([0.3, 0.3, 0.4])[1] == {1}
 
     def test_uniform(self):
-        sorted_probs, perm = sort_ascending(make_distribution([0.25] * 4))
-        assert np.allclose(sorted_probs, [0.25] * 4)
-        assert list(perm) == [1, 2, 3, 4]
+        target, negatives, _, _ = partition_one([0.25] * 4)
+        assert target == 1
+        assert negatives == {2}
 
 
 class TestSelectNegatives:
     def test_hand_case(self):
-        assert select_negatives(make_distribution([0.4, 0.35, 0.2, 0.05])) == {4, 3}
+        assert partition_one([0.4, 0.35, 0.2, 0.05])[1] == {4, 3}
 
     def test_one_hot(self):
-        assert select_negatives(make_distribution([1, 0, 0, 0])) == {2, 3, 4}
+        assert partition_one([1.0, 0.0, 0.0, 0.0])[1] == {2, 3, 4}
 
     def test_uniform(self):
-        assert select_negatives(make_distribution([0.25] * 4)) == {2}
+        assert partition_one([0.25] * 4)[1] == {2}
 
 
 class TestSelectPositives:
     def test_hand_case(self):
-        dist = make_distribution([0.4, 0.35, 0.2, 0.05])
-        assert select_positives(dist, frozenset({4, 3}), 0.85) == {2}
+        assert partition_one([0.4, 0.35, 0.2, 0.05], 0.85)[2] == {2}
 
     def test_one_hot_empty(self):
-        dist = make_distribution([1, 0, 0, 0])
-        assert select_positives(dist, frozenset({2, 3, 4}), 0.85) == set()
+        assert partition_one([1.0, 0.0, 0.0, 0.0], 0.85)[2] == set()
 
     def test_five_class(self):
-        dist = make_distribution([0.30, 0.27, 0.18, 0.15, 0.10])
-        assert select_positives(dist, frozenset({5, 4}), 0.85) == {2}
-
-    def test_bad_ratio(self):
-        dist = make_distribution([0.5, 0.5])
-        with pytest.raises(ValueError):
-            select_positives(dist, frozenset(), 0.0)
+        assert partition_one([0.30, 0.27, 0.18, 0.15, 0.10], 0.85)[2] == {2}
 
 
 class TestPartitionLabelSpace:
     def test_five_class(self):
-        part = partition_label_space(make_distribution([0.30, 0.27, 0.18, 0.15, 0.10]), 0.85)
-        assert part.target == 1
-        assert part.negatives == {5, 4}
-        assert part.positives == {2}
-        assert part.ambiguous == {3}
+        assert partition_one([0.30, 0.27, 0.18, 0.15, 0.10], 0.85) == (1, {5, 4}, {2}, {3})
 
     def test_all_negative(self):
-        part = partition_label_space(make_distribution([0.5, 0.3, 0.15, 0.05]), 0.85)
-        assert part.target == 1
-        assert part.negatives == {4, 3, 2}
-        assert part.positives == set()
-        assert part.ambiguous == set()
+        assert partition_one([0.5, 0.3, 0.15, 0.05], 0.85) == (1, {4, 3, 2}, set(), set())
 
     def test_one_hot(self):
-        part = partition_label_space(make_distribution([1, 0, 0]), 0.85)
-        assert part.target == 1
-        assert part.negatives == {2, 3}
-        assert part.positives == set()
-        assert part.ambiguous == set()
+        assert partition_one([1.0, 0.0, 0.0], 0.85) == (1, {2, 3}, set(), set())
 
 
 def random_distribution(rng):
     c = int(rng.integers(2, 51))
-    raw = rng.dirichlet(np.full(c + 1, rng.uniform(0.2, 3.0)))
-    return make_distribution(raw)
+    return rng.dirichlet(np.full(c + 1, rng.uniform(0.2, 3.0)))
 
 
 class TestProperties:
     def test_oracle_equivalence_and_cover(self):
         rng = np.random.default_rng(123)
         for _ in range(2000):
-            dist = random_distribution(rng)
+            probs = random_distribution(rng)
             ratio = rng.uniform(0.05, 1.0)
-            part = partition_label_space(dist, ratio)  # constructor enforces the cover
-            assert part.negatives == brute_force_negatives(dist.probs)
-            assert part.positives == brute_force_positives(dist.probs, part.negatives, ratio)
-            everything = {part.target} | part.positives | part.negatives | part.ambiguous
-            assert everything == set(range(1, dist.label_count + 1))
+            target, negatives, positives, _ = partition_one(probs, ratio)  # checks the cover
+            assert target == int(np.argmax(probs)) + 1
+            assert negatives == brute_force_negatives(probs)
+            assert positives == brute_force_positives(probs, negatives, ratio)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(7)
         probs = rng.dirichlet(np.ones(9), size=400)
         ratio = 0.85
         targets, neg_mask, pos_mask = partition_rows(probs, ratio)
-        for i in range(len(probs)):
-            part = partition_label_space(make_distribution(probs[i]), ratio)
-            assert targets[i] == part.target
-            assert frozenset(np.nonzero(neg_mask[i])[0] + 1) == part.negatives
-            assert frozenset(np.nonzero(pos_mask[i])[0] + 1) == part.positives
+        for i, row in enumerate(probs.tolist()):
+            negatives = brute_force_negatives(row)
+            assert targets[i] == row.index(max(row)) + 1
+            assert set((np.nonzero(neg_mask[i])[0] + 1).tolist()) == negatives
+            assert set((np.nonzero(pos_mask[i])[0] + 1).tolist()) == brute_force_positives(
+                row, negatives, ratio
+            )
 
     def test_lambda_monotonicity(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
-            dist = random_distribution(rng)
+            probs = random_distribution(rng)
             lo, hi = sorted(rng.uniform(0.05, 1.0, size=2))
-            neg = select_negatives(dist)
-            assert select_positives(dist, neg, hi) <= select_positives(dist, neg, lo)
+            assert partition_one(probs, hi)[2] <= partition_one(probs, lo)[2]
 
     def test_confidence_adaptivity(self):
         # For fixed non-target proportions, raising max(p) never shrinks the
@@ -133,26 +123,23 @@ class TestProperties:
                 if probs[0] <= probs[1:].max():
                     sets = None
                     break
-                sets.append(select_negatives(make_distribution(probs)))
+                sets.append(partition_one(probs)[1])
             if sets is not None:
                 assert sets[0] <= sets[1]
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            dist = random_distribution(rng)
-            probs = dist.probs
+            probs = random_distribution(rng)
             if np.min(np.diff(np.sort(probs))) < 1e-9:
                 continue  # ties break by index and are not permutation-equivariant
-            perm = rng.permutation(dist.label_count)  # position i gets old class perm[i]+1
-            permuted = make_distribution(probs[perm])
+            perm = rng.permutation(len(probs))  # position i gets old class perm[i]+1
             ratio = rng.uniform(0.3, 1.0)
-            base = partition_label_space(dist, ratio)
-            moved = partition_label_space(permuted, ratio)
-            new_id = np.empty(dist.label_count, dtype=int)
+            base = partition_one(probs, ratio)
+            moved = partition_one(probs[perm], ratio)
+            new_id = np.empty(len(probs), dtype=int)
             for new_pos, old_pos in enumerate(perm):
                 new_id[old_pos] = new_pos + 1
-            assert moved.target == new_id[base.target - 1]
-            assert moved.positives == {int(new_id[c - 1]) for c in base.positives}
-            assert moved.negatives == {int(new_id[c - 1]) for c in base.negatives}
-            assert moved.ambiguous == {int(new_id[c - 1]) for c in base.ambiguous}
+            assert moved[0] == new_id[base[0] - 1]
+            for before, after in zip(base[1:], moved[1:]):
+                assert after == {int(new_id[c - 1]) for c in before}

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from pntal import datagen, model, selftrain
-from pntal.core import ExperimentConfig, LabelPartition, VideoRecord, make_distribution
+from pntal.core import ExperimentConfig, VideoRecord
 from pntal.losses import BatchArrays, batch_terms
-from pntal.partition import partition_label_space
 from pntal.selftrain import (
     EmptyLabeledSetError,
     MissingGroundTruthError,
@@ -14,11 +13,13 @@ from pntal.selftrain import (
     pretrain,
     sealed_label_map,
     self_train_loop,
-    sharpen,
+    sharpen_rows,
     snippet_accuracy,
     subspace_statistics,
     video_feature_matrix,
 )
+
+from oracles import brute_force_negatives, brute_force_positives
 
 
 def small_config(**kwargs):
@@ -52,38 +53,37 @@ def annotate(params, video, cfg):
 
 
 def row_partition(ann, i):
-    """The label-space partition of annotation row i."""
+    """The label-space partition of annotation row i: (target, negatives, positives)."""
     target = int(ann.targets[i])
     negatives = set((np.nonzero(ann.neg_mask[i])[0] + 1).tolist())
     positives = set((np.nonzero(ann.pos_mask[i])[0] + 1).tolist())
-    ambiguous = set(range(1, ann.neg_mask.shape[1] + 1)) - {target} - negatives - positives
-    return LabelPartition(target, positives, negatives, ambiguous)
+    return target, negatives, positives
 
 
 class TestSharpen:
     def test_identity_temperature(self):
-        dist = make_distribution([0.5, 0.3, 0.2])
-        assert sharpen(dist, 1.0) is dist
+        probs = np.array([[0.5, 0.3, 0.2]])
+        assert np.array_equal(sharpen_rows(probs, 1.0), probs)
 
     def test_hand_value(self):
-        out = sharpen(make_distribution([0.5, 0.3, 0.2]), 0.5)
-        expected = np.array([0.25, 0.09, 0.04]) / 0.38
-        assert np.allclose(out.probs, expected, atol=1e-12)
+        out = sharpen_rows(np.array([[0.5, 0.3, 0.2]]), 0.5)
+        expected = np.array([[0.25, 0.09, 0.04]]) / 0.38
+        assert np.allclose(out, expected, atol=1e-12)
 
     def test_one_hot_fixed_point(self):
-        dist = make_distribution([1, 0, 0])
+        probs = np.array([[1.0, 0.0, 0.0]])
         for t in (0.25, 0.5, 2.0, 7.0):
-            assert np.array_equal(sharpen(dist, t).probs, dist.probs)
+            assert np.array_equal(sharpen_rows(probs, t), probs)
 
     def test_low_temperature_concentrates(self):
-        dist = make_distribution([0.5, 0.3, 0.2])
-        sharp = sharpen(dist, 0.25)
-        assert sharp.probs[0] > dist.probs[0]
-        assert int(np.argmax(sharp.probs)) == int(np.argmax(dist.probs))
+        probs = np.array([[0.5, 0.3, 0.2]])
+        sharp = sharpen_rows(probs, 0.25)
+        assert sharp[0, 0] > probs[0, 0]
+        assert int(np.argmax(sharp[0])) == int(np.argmax(probs[0]))
 
     def test_bad_temperature(self):
         with pytest.raises(ValueError):
-            sharpen(make_distribution([1, 1]), 0.0)
+            sharpen_rows(np.array([[0.5, 0.5]]), 0.0)
 
 
 class TestPretrain:
@@ -126,10 +126,7 @@ class TestAssignPseudoLabels:
         ann = annotate(params, video, cfg)
         assert ann.soft is None
         for i in range(video.snippet_count):
-            part = row_partition(ann, i)
-            assert part.target == 1
-            assert part.negatives == {2, 3, 4, 5}
-            assert part.positives == set()
+            assert row_partition(ann, i) == (1, {2, 3, 4, 5}, set())
 
     def test_matches_partition_label_space(self):
         probs = [0.30, 0.27, 0.18, 0.15, 0.10]
@@ -138,7 +135,9 @@ class TestAssignPseudoLabels:
         rng = np.random.default_rng(1)
         video = unlabeled_video("u", 4, cfg.feature_dim, rng)
         ann = annotate(params, video, cfg)
-        expected = partition_label_space(make_distribution(probs), 0.85)
+        negatives = brute_force_negatives(probs)
+        expected = (1, negatives, brute_force_positives(probs, negatives, 0.85))
+        assert expected == (1, {5, 4}, {2})
         for i in range(video.snippet_count):
             assert row_partition(ann, i) == expected
 
@@ -162,18 +161,16 @@ class TestAssignPseudoLabels:
 
         cfg = small_config(sharpen_temperature=1.0, objective="target-only")
         params = bias_model(probs, cfg.model_input_dim)
-        part = row_partition(annotate(params, video, cfg), 0)
-        assert part.negatives == set() and part.positives == set()
+        assert row_partition(annotate(params, video, cfg), 0) == (1, set(), set())
 
         cfg = small_config(sharpen_temperature=1.0, objective="target-negative")
-        part = row_partition(annotate(params, video, cfg), 0)
-        assert part.negatives == {5, 4} and part.positives == set()
+        assert row_partition(annotate(params, video, cfg), 0) == (1, {5, 4}, set())
 
         cfg = small_config(sharpen_temperature=1.0, objective="complementary")
-        part = row_partition(annotate(params, video, cfg), 0)
-        assert len(part.negatives) == 1
-        assert part.positives == set()
-        assert 1 not in part.negatives
+        target, negatives, positives = row_partition(annotate(params, video, cfg), 0)
+        assert len(negatives) == 1
+        assert positives == set()
+        assert 1 not in negatives
 
         cfg = small_config(sharpen_temperature=1.0, objective="soft-pseudo")
         ann = annotate(params, video, cfg)
@@ -214,11 +211,10 @@ class TestSubspaceStatistics:
         neg_mask = np.zeros((len(truths), cfg.label_count), dtype=bool)
         pos_mask = np.zeros((len(truths), cfg.label_count), dtype=bool)
         for i, t in enumerate(truths):
-            part = partition_label_space(
-                make_distribution(np.eye(cfg.label_count)[t - 1] + 1e-12), 0.85
-            )
-            neg_mask[i, [c - 1 for c in part.negatives]] = True
-            pos_mask[i, [c - 1 for c in part.positives]] = True
+            row = (np.eye(cfg.label_count)[t - 1] + 1e-12).tolist()
+            negatives = brute_force_negatives(row)
+            neg_mask[i, [c - 1 for c in negatives]] = True
+            pos_mask[i, [c - 1 for c in brute_force_positives(row, negatives, 0.85)]] = True
         ann = PseudoAnnotation(targets=truths, neg_mask=neg_mask, pos_mask=pos_mask, soft=None)
         stats = subspace_statistics(ann, truths)
         assert stats.target_rate == pytest.approx(1.0)
