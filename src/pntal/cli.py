@@ -3,9 +3,10 @@
 Every run writes a manifest (config snapshot, seed, build id, wall time; for
 runs that build a dataset also each class's labeled instance count, one value
 per seed for sweeps; for scored runs also the detection count and per-class
-AP) plus metrics as structured text and plot-ready CSV. Metrics artifacts
-are byte-identical across reruns with the same seed; only the manifest
-carries wall-clock time. Exit codes: 0 ok, 1 configuration error, 2 runtime error.
+AP; for selftrain also each stage's wall time) plus metrics as structured text
+and plot-ready CSV. Metrics artifacts are byte-identical across reruns with
+the same seed; only the manifest carries wall-clock time. Exit codes: 0 ok,
+1 configuration error, 2 runtime error.
 
 Config files are flat key = value text. Keys must be ExperimentConfig field
 names; unknown keys are rejected so misspelled hyper-parameters fail loudly.
@@ -20,6 +21,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -66,13 +68,6 @@ def _parse_value(key: str, raw: str):
             raise BadConfigError(key, f"expected a list of numbers, got {raw!r}") from None
     kind = _FIELD_TYPES[key]
     try:
-        if kind == "bool":
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
         if kind == "int":
             return int(raw)
         if kind == "float":
@@ -206,6 +201,15 @@ class ExperimentResult:
     metrics: List[selftrain.EpochMetrics]
     detections: List[localize.Detection]
     evaluation: localize.EvalResult
+    stage_s: Dict[str, float]  # wall time of each stage that ran, in run order
+
+
+@contextmanager
+def _stage(stage_s: Dict[str, float], name: str):
+    """Record the wall time of the with-block as stage_s[name]."""
+    started = time.perf_counter()
+    yield
+    stage_s[name] = time.perf_counter() - started
 
 
 def _train(
@@ -228,12 +232,24 @@ def run_experiment(
     params: Optional[model.ModelParams] = None,
 ) -> ExperimentResult:
     """Generate data (unless given), pretrain (unless params are given), self-train, evaluate."""
+    stage_s: Dict[str, float] = {}
     if benchmark is None:
-        benchmark = datagen.generate_benchmark(config)
-    params, metrics = _train(config, benchmark, params)
-    detections, evaluation = localize.evaluate_model(params, benchmark.test, config)
+        with _stage(stage_s, "generate"):
+            benchmark = datagen.generate_benchmark(config)
+    if params is None:
+        with _stage(stage_s, "pretrain"):
+            params = selftrain.pretrain(benchmark.labeled, config)
+    with _stage(stage_s, "selftrain"):
+        params, metrics = _train(config, benchmark, params)
+    with _stage(stage_s, "detect"):
+        detections = localize.detect_videos(params, benchmark.test, config)
+    with _stage(stage_s, "score"):
+        evaluation = localize.mean_average_precision(
+            detections, localize.ground_truth_map(benchmark.test), config.tiou_grid
+        )
     return ExperimentResult(
-        config=config, params=params, metrics=metrics, detections=detections, evaluation=evaluation
+        config=config, params=params, metrics=metrics, detections=detections,
+        evaluation=evaluation, stage_s=stage_s,
     )
 
 
@@ -309,14 +325,18 @@ def _cmd_selftrain(
     config: ExperimentConfig, out: Path, params_path: Optional[str]
 ) -> List[Tuple[str, object]]:
     params = None if params_path is None else _load_checkpoint(params_path, config)
-    benchmark = datagen.generate_benchmark(config)
+    stage_s: Dict[str, float] = {}
+    with _stage(stage_s, "generate"):
+        benchmark = datagen.generate_benchmark(config)
     result = run_experiment(config, benchmark=benchmark, params=params)
+    stage_s.update(result.stage_s)
     model.save_params(result.params, out / "checkpoint.txt")
     write_metrics_jsonl(out / "metrics.jsonl", result.metrics)
     localize.write_detections(out / "detections.tsv", result.detections)
     write_map_csv(out / "map.csv", result.evaluation)
     report = _labeled_report(_labeled_counts(benchmark, config.class_count))
-    return report + _evaluation_report(result.detections, result.evaluation)
+    report += _evaluation_report(result.detections, result.evaluation)
+    return report + [(f"stage_s_{name}", round(seconds, 6)) for name, seconds in stage_s.items()]
 
 
 def _cmd_evaluate(
@@ -327,10 +347,8 @@ def _cmd_evaluate(
         if not Path(detections_path).is_file():
             raise MissingArtifactError(detections_path, "detections file")
         detections = localize.load_detections(detections_path)
-    elif params_path is not None:
-        params = _load_checkpoint(params_path, config)
     else:
-        raise _UsageError("evaluate needs --params or --detections")
+        params = _load_checkpoint(params_path, config)
     benchmark = datagen.generate_benchmark(config)
     if params is not None:
         detections = localize.detect_videos(params, benchmark.test, config)
@@ -417,8 +435,9 @@ def _build_parser() -> _Parser:
     st.add_argument("--params", help="pretrained checkpoint to start from")
     ev = subs.add_parser("evaluate")
     _add_common(ev)
-    ev.add_argument("--params", help="model checkpoint to evaluate")
-    ev.add_argument("--detections", help="detection dump to evaluate instead of a model")
+    source = ev.add_mutually_exclusive_group(required=True)
+    source.add_argument("--params", help="model checkpoint to evaluate")
+    source.add_argument("--detections", help="detection dump to evaluate instead of a model")
     for name in ("ablate-losses", "ablate-lambda", "compare-baselines"):
         sweep = subs.add_parser(name)
         _add_common(sweep)

@@ -112,6 +112,15 @@ class VideoRecord:
         return tuple(_SnippetRow(row) for row in self.features)
 
 
+def prototype_dimensions(class_count: int) -> int:
+    """Feature dimensions the class prototypes span.
+
+    Classes come in confusable pairs: a pair needs 3 dimensions (one shared
+    direction plus one of its own per class), a lone last class needs 1.
+    """
+    return 3 * (class_count // 2) + class_count % 2
+
+
 OBJECTIVES = ("hybrid", "target-only", "target-negative", "soft-pseudo", "complementary")
 
 # Refinement/reconstruction branches of the full video model are out of scope
@@ -139,13 +148,10 @@ class ExperimentConfig:
     pretrain_epochs: int = 20
     selftrain_epochs: int = 50
     learning_rate: float = 3e-3
-    weight_decay: float = 0.0
     batch_size: int = 256
     hidden_width: int = 64
     feature_window: int = 0
     objective: str = "hybrid"
-    normalize_set_losses: bool = False
-    refresh_per_step: bool = False
     soft_nms_sigma: float = 0.5
     soft_nms_floor: float = 0.1
     tiou_grid: tuple = (0.3, 0.4, 0.5, 0.6, 0.7)
@@ -181,10 +187,13 @@ class ExperimentConfig:
         for name in ("class_count", "feature_dim", "snippets_per_video",
                      "train_video_count", "test_video_count", "batch_size", "hidden_width"):
             positive_int(name)
-        for name in ("pretrain_epochs", "selftrain_epochs", "feature_window"):
+        for name in ("pretrain_epochs", "selftrain_epochs", "feature_window", "seed"):
             nonneg_int(name)
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise BadConfigError("seed", f"must be an integer, got {self.seed!r}")
+        needed = prototype_dimensions(self.class_count)
+        if self.feature_dim < needed:
+            raise BadConfigError(
+                "feature_dim", f"{self.class_count} classes need >= {needed}, got {self.feature_dim}"
+            )
 
         if not (0.0 < finite("labeled_ratio") <= 1.0):
             raise BadConfigError("labeled_ratio", "must lie in (0, 1]")
@@ -204,17 +213,12 @@ class ExperimentConfig:
             raise BadConfigError("sharpen_temperature", "must be > 0")
         if finite("learning_rate") < 0.0:
             raise BadConfigError("learning_rate", "must be >= 0")
-        if finite("weight_decay") < 0.0:
-            raise BadConfigError("weight_decay", "must be >= 0")
         if finite("soft_nms_sigma") <= 0.0:
             raise BadConfigError("soft_nms_sigma", "must be > 0")
         if not (0.0 <= finite("soft_nms_floor") <= 1.0):
             raise BadConfigError("soft_nms_floor", "must lie in [0, 1]")
         if self.objective not in OBJECTIVES:
             raise BadConfigError("objective", f"must be one of {OBJECTIVES}, got {self.objective!r}")
-        for name in ("normalize_set_losses", "refresh_per_step"):
-            if not isinstance(getattr(self, name), bool):
-                raise BadConfigError(name, "must be a boolean")
 
         for name in ("tiou_grid", "classification_thresholds", "mask_thresholds"):
             grid = getattr(self, name)

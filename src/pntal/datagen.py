@@ -31,7 +31,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .core import ActionInstance, Error, ExperimentConfig, VideoRecord
+from .core import ActionInstance, Error, ExperimentConfig, VideoRecord, prototype_dimensions
 
 MAX_INSTANCES = 5
 MIN_DURATION = 8
@@ -111,13 +111,8 @@ def _class_groups(class_count: int):
     ]
 
 
-def _basis_size(class_count: int) -> int:
-    groups = _class_groups(class_count)
-    return sum(len(g) + 1 if len(g) > 1 else 1 for g in groups)
-
-
 def _prototype_basis(class_count: int, feature_dim: int, seed: int) -> np.ndarray:
-    needed = _basis_size(class_count)
+    needed = prototype_dimensions(class_count)
     if needed > feature_dim:
         raise ValueError(
             f"feature_dim {feature_dim} too small for {class_count} classes "

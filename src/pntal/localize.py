@@ -304,14 +304,6 @@ def detect_videos(
     return detections
 
 
-def evaluate_model(
-    params: model.ModelParams, videos: Sequence[VideoRecord], config: ExperimentConfig
-) -> Tuple[List[Detection], EvalResult]:
-    detections = detect_videos(params, videos, config)
-    result = mean_average_precision(detections, ground_truth_map(videos), config.tiou_grid)
-    return detections, result
-
-
 def write_detections(path, detections: Sequence[Detection]) -> None:
     """One detection per line: video id, start, end, class, score."""
     with open(path, "w", encoding="utf-8") as fh:

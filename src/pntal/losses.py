@@ -64,8 +64,9 @@ class LossBreakdown:
 class BatchArrays:
     """Array view of one training batch.
 
-    probs/mask_scores come from the model; labeled flags which rows are
-    ground-truth supervised. targets holds 1-based hard target ids; neg/pos
+    probs/mask_scores come from the model (a training step builds the rest
+    first, with None there, and fills them after its forward pass); labeled
+    flags which rows are ground-truth supervised. targets holds 1-based hard target ids; neg/pos
     masks hold subspace membership per row (all-False where unused). soft is
     an optional (N, K) soft-label matrix whose finite rows replace the hard
     target term. mask_targets uses NaN for rows without mask supervision.
@@ -81,15 +82,7 @@ class BatchArrays:
     soft: Optional[np.ndarray] = None
 
 
-def _membership_scale(mask: np.ndarray, normalize: bool) -> np.ndarray:
-    m = mask.astype(np.float64)
-    if normalize:
-        counts = m.sum(axis=1, keepdims=True)
-        m = np.divide(m, counts, out=m, where=counts > 0)
-    return m
-
-
-def batch_terms(arrays: BatchArrays, alpha: float, normalize_sets: bool = False):
+def batch_terms(arrays: BatchArrays, alpha: float):
     """Loss breakdown plus gradients w.r.t. logits and mask scores.
 
     Supervised rows average with weight 1/N_labeled, unsupervised rows with
@@ -129,14 +122,14 @@ def batch_terms(arrays: BatchArrays, alpha: float, normalize_sets: bool = False)
 
     # Negative term: -sum_c m_c log(1 - p_c), clamped entries frozen.
     q = 1.0 - p
-    mneg = _membership_scale(arrays.neg_mask, normalize_sets)
+    mneg = arrays.neg_mask.astype(np.float64)
     neg_active = q > CLAMP
     neg_rows = -(mneg * np.log(np.maximum(q, CLAMP))).sum(axis=1)
     w = np.where(neg_active, mneg * p / np.where(neg_active, q, 1.0), 0.0)
     grad += w - p * w.sum(axis=1, keepdims=True)
 
     # Positive term: -sum_c m_c log p_c.
-    mpos = _membership_scale(arrays.pos_mask, normalize_sets)
+    mpos = arrays.pos_mask.astype(np.float64)
     pos_active = p > CLAMP
     mpa = np.where(pos_active, mpos, 0.0)
     pos_rows = -(mpos * np.log(np.maximum(p, CLAMP))).sum(axis=1)

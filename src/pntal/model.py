@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -91,9 +90,6 @@ class ParamGrads:
 
     def is_finite(self) -> bool:
         return all(np.all(np.isfinite(getattr(self, name))) for name in PARAM_FIELDS)
-
-    def scaled(self, factor: float) -> "ParamGrads":
-        return ParamGrads(*(getattr(self, n) * factor for n in PARAM_FIELDS))
 
 
 def _glorot(rng, fan_in, fan_out, shape):
@@ -187,15 +183,14 @@ def backward_batch(cache: ForwardCache, grad_logits: np.ndarray, grad_mask: np.n
 
 @dataclass(eq=False)
 class OptimizerState:
-    """Adaptive-moment accumulators plus the base learning rate."""
+    """Adaptive-moment accumulators and the number of updates taken."""
 
     m: ParamGrads
     v: ParamGrads
     step_count: int
-    base_lr: float
 
 
-def init_optimizer(params: ModelParams, base_lr: float) -> OptimizerState:
+def init_optimizer(params: ModelParams) -> OptimizerState:
     zeros = lambda: ParamGrads(
         trunk_w=np.zeros_like(params.trunk_w),
         trunk_b=np.zeros_like(params.trunk_b),
@@ -204,24 +199,19 @@ def init_optimizer(params: ModelParams, base_lr: float) -> OptimizerState:
         mask_w=np.zeros_like(params.mask_w),
         mask_b=0.0,
     )
-    return OptimizerState(m=zeros(), v=zeros(), step_count=0, base_lr=base_lr)
+    return OptimizerState(m=zeros(), v=zeros(), step_count=0)
 
 
-def step(
-    params: ModelParams,
-    grads: ParamGrads,
-    state: OptimizerState,
-    learning_rate: Optional[float] = None,
-    weight_decay: float = 0.0,
-):
+def step(params: ModelParams, grads: ParamGrads, state: OptimizerState, learning_rate: float):
     """One adaptive-moment update with bias correction; returns (params, state).
 
-    weight_decay applies decoupled from the moment estimates (weights shrink
-    by lr * weight_decay * w per step); biases are not decayed.
+    The caller owns the schedule and passes each step's learning rate. Every
+    parameter, weights and biases alike, moves by
+    learning_rate * m_hat / (sqrt(v_hat) + eps); a non-finite gradient aborts
+    the update before anything changes.
     """
     if not grads.is_finite():
         raise NonFiniteGradientError("aborted update: non-finite gradient")
-    lr = state.base_lr if learning_rate is None else learning_rate
     t = state.step_count + 1
     new_params = {}
     new_m = {}
@@ -232,9 +222,7 @@ def step(
         g = getattr(grads, name)
         m = ADAM_BETA1 * getattr(state.m, name) + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * getattr(state.v, name) + (1.0 - ADAM_BETA2) * np.square(g)
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        if weight_decay and name.endswith("_w"):
-            update = update + lr * weight_decay * getattr(params, name)
+        update = learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         new_params[name] = getattr(params, name) - update
         new_m[name] = m
         new_v[name] = v
@@ -243,7 +231,7 @@ def step(
     new_v["mask_b"] = float(new_v["mask_b"])
     return (
         ModelParams(**new_params),
-        OptimizerState(m=ParamGrads(**new_m), v=ParamGrads(**new_v), step_count=t, base_lr=state.base_lr),
+        OptimizerState(m=ParamGrads(**new_m), v=ParamGrads(**new_v), step_count=t),
     )
 
 

@@ -20,6 +20,7 @@ negative loss over all non-target classes under hybrid and target-negative.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -323,11 +324,14 @@ def _mixed_step_arrays(
     unlabeled_pool: UnlabeledPool,
     uns_rows: np.ndarray,
     ann: Optional[PseudoAnnotation],
-    probs: np.ndarray,
-    scores: np.ndarray,
     labeled_negative: bool,
     label_count: int,
 ) -> losses.BatchArrays:
+    """One step's supervision: labeled rows first, then unlabeled ones.
+
+    It reads only the pools and the frozen annotation, never the model, so it
+    is built before the forward pass; _train_step fills in the predictions.
+    """
     n_lab, n_uns = len(lab_rows), len(uns_rows)
     n = n_lab + n_uns
     labeled = np.zeros(n, dtype=bool)
@@ -357,8 +361,8 @@ def _mixed_step_arrays(
             soft = np.full((n, label_count), np.nan)
             soft[n_lab:] = ann.soft[uns_rows]
     return losses.BatchArrays(
-        probs=probs,
-        mask_scores=scores,
+        probs=None,
+        mask_scores=None,
         labeled=labeled,
         targets=targets,
         neg_mask=neg_mask,
@@ -368,16 +372,13 @@ def _mixed_step_arrays(
     )
 
 
-def _train_step(params, opt_state, features, arrays_builder, learning_rate, config):
+def _train_step(params, opt_state, features, supervision, learning_rate, alpha):
+    """Forward, hybrid loss against the fixed supervision, backward, update."""
     probs, scores, cache = model.forward_batch(params, features)
-    arrays = arrays_builder(probs, scores)
-    breakdown, grad_logits, grad_mask = losses.batch_terms(
-        arrays, alpha=config.unlabeled_loss_weight, normalize_sets=config.normalize_set_losses
-    )
+    arrays = dataclasses.replace(supervision, probs=probs, mask_scores=scores)
+    breakdown, grad_logits, grad_mask = losses.batch_terms(arrays, alpha)
     grads = model.backward_batch(cache, grad_logits, grad_mask)
-    params, opt_state = model.step(
-        params, grads, opt_state, learning_rate, weight_decay=config.weight_decay
-    )
+    params, opt_state = model.step(params, grads, opt_state, learning_rate)
     return params, opt_state, breakdown
 
 
@@ -400,16 +401,15 @@ def pretrain(labeled_videos: Sequence[VideoRecord], config: ExperimentConfig) ->
         raise EmptyLabeledSetError("pretraining needs at least one labeled video")
     pool = build_labeled_pool(labeled_videos, config)
     params = model.init_params(config.model_input_dim, config.hidden_width, config.label_count, config.seed)
-    opt_state = model.init_optimizer(params, config.learning_rate)
+    opt_state = model.init_optimizer(params)
+    no_rows = np.zeros(0, dtype=np.int64)
     for epoch in range(config.pretrain_epochs):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_PRETRAIN, epoch]))
         for rows in _epoch_batches(rng, pool.size, config.batch_size):
-            builder = lambda probs, scores, rows=rows: _mixed_step_arrays(
-                pool, rows, None, np.zeros(0, dtype=np.int64), None,
-                probs, scores, True, config.label_count,
-            )
+            supervision = _mixed_step_arrays(pool, rows, None, no_rows, None, True, config.label_count)
             params, opt_state, _ = _train_step(
-                params, opt_state, pool.features[rows], builder, config.learning_rate, config
+                params, opt_state, pool.features[rows], supervision,
+                config.learning_rate, config.unlabeled_loss_weight,
             )
     return params
 
@@ -425,7 +425,7 @@ def self_train_loop(
     labeled_pool = build_labeled_pool(labeled_videos, config)
     unlabeled_pool = build_unlabeled_pool(unlabeled_videos, config, sealed_labels)
     labeled_negative = config.objective in ("hybrid", "target-negative")
-    opt_state = model.init_optimizer(params, config.learning_rate)
+    opt_state = model.init_optimizer(params)
     metrics: List[EpochMetrics] = []
 
     for epoch in range(config.selftrain_epochs):
@@ -449,28 +449,15 @@ def self_train_loop(
 
         step_losses = []
         for lab_rows, uns_rows in zip(lab_batches, uns_chunks):
-            step_ann = ann
-            if config.refresh_per_step and len(uns_rows):
-                chunk_ann = assign_annotation(
-                    params, unlabeled_pool.features[uns_rows], config, epoch=epoch
-                )
-                step_ann = PseudoAnnotation(
-                    targets=_scatter(ann.targets, uns_rows, chunk_ann.targets),
-                    neg_mask=_scatter(ann.neg_mask, uns_rows, chunk_ann.neg_mask),
-                    pos_mask=_scatter(ann.pos_mask, uns_rows, chunk_ann.pos_mask),
-                    soft=_scatter(ann.soft, uns_rows, chunk_ann.soft) if ann.soft is not None else None,
-                )
+            supervision = _mixed_step_arrays(
+                labeled_pool, lab_rows, unlabeled_pool, uns_rows, ann,
+                labeled_negative, config.label_count,
+            )
             features = np.concatenate(
                 [labeled_pool.features[lab_rows], unlabeled_pool.features[uns_rows]]
             )
-            builder = lambda probs, scores, lab_rows=lab_rows, uns_rows=uns_rows, step_ann=step_ann: (
-                _mixed_step_arrays(
-                    labeled_pool, lab_rows, unlabeled_pool, uns_rows, step_ann,
-                    probs, scores, labeled_negative, config.label_count,
-                )
-            )
             params, opt_state, breakdown = _train_step(
-                params, opt_state, features, builder, lr, config
+                params, opt_state, features, supervision, lr, config.unlabeled_loss_weight
             )
             step_losses.append(breakdown)
 
@@ -487,26 +474,16 @@ def self_train_loop(
     return params, metrics
 
 
-def _scatter(base, rows, values):
-    out = base.copy()
-    out[rows] = values
-    return out
-
-
 def snippet_accuracy(
     params: model.ModelParams,
     videos: Sequence[VideoRecord],
     config: ExperimentConfig,
-    labels_map: Optional[Mapping[str, np.ndarray]] = None,
 ) -> float:
     """Fraction of snippets whose argmax prediction matches the true class."""
     correct = 0
     total = 0
     for video in videos:
-        if labels_map is not None:
-            truth = np.asarray(labels_map[video.video_id], dtype=np.int64)
-        else:
-            truth = snippet_true_labels(video.instances, video.snippet_count, config.background_index)
+        truth = snippet_true_labels(video.instances, video.snippet_count, config.background_index)
         probs, _, _ = model.forward_batch(params, video_feature_matrix(video, config.feature_window))
         pred = np.argmax(probs, axis=1) + 1
         correct += int((pred == truth).sum())

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pntal import cli, datagen, localize, model, selftrain
-from pntal.core import BadConfigError
+from pntal.core import BadConfigError, ExperimentConfig
 from pntal.cli import (
     MissingArtifactError,
     build_id,
@@ -68,13 +70,12 @@ def generate_calls(monkeypatch):
 class TestConfigParsing:
     def test_round_trip_types(self):
         values = parse_config_text(
-            "seed = 3\nlearning_rate = 0.01\nnormalize_set_losses = true\n"
+            "seed = 3\nlearning_rate = 0.01\n"
             "tiou_grid = 0.3, 0.5\nobjective = hybrid\n"
         )
         assert values == {
             "seed": 3,
             "learning_rate": 0.01,
-            "normalize_set_losses": True,
             "tiou_grid": (0.3, 0.5),
             "objective": "hybrid",
         }
@@ -135,8 +136,34 @@ class TestExitCodes:
             assert f"{path}:2: " in capsys.readouterr().err
         assert generate_calls == []  # reported before any dataset is built
 
+    def test_config_refused_before_any_output(self, tmp_path, capsys, generate_calls):
+        narrow = tmp_path / "narrow.cfg"
+        narrow.write_text("class_count = 20\nfeature_dim = 16\n")
+        for i, command in enumerate((
+            ["generate", "--config", str(narrow)],
+            ["generate", "--seed", "-1"],
+            ["selftrain", "--seed", "-1"],
+        )):
+            out = tmp_path / f"o{i}"
+            assert main(command + ["--out", str(out)]) == 1
+            assert "configuration error" in capsys.readouterr().err
+            assert not out.exists()
+        assert generate_calls == []
+
     def test_evaluate_needs_source(self, tmp_path, capsys):
         assert main(["evaluate", "--out", str(tmp_path / "o")]) == 1
+
+    def test_evaluate_sources_exclusive(self, tmp_path, capsys, generate_calls):
+        ckpt = tmp_path / "ckpt.txt"
+        model.save_params(model.init_params(8, 12, 5, seed=0), ckpt)
+        dump = tmp_path / "det.tsv"
+        dump.write_text("v\t0\t4\t1\t0.5\n")
+        out = tmp_path / "o"
+        command = ["evaluate", "--params", str(ckpt), "--detections", str(dump), "--out", str(out)]
+        assert main(command) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+        assert generate_calls == []
 
     def test_sweep_needs_a_seed(self, tmp_path, capsys, generate_calls):
         for command in (
@@ -228,6 +255,48 @@ class TestSelftrainCommand:
         config = load_config(tiny_config_file, {})
         for out in (pre_out, st_out, plain_out):
             assert_labeled_counts(out, config)
+
+    def test_stage_times_in_manifest(self, tiny_config_file, tmp_path):
+        pre_out = tmp_path / "pre"
+        assert main(["pretrain", "--config", tiny_config_file, "--out", str(pre_out)]) == 0
+        plain_out = tmp_path / "plain"
+        assert main(["selftrain", "--config", tiny_config_file, "--out", str(plain_out)]) == 0
+        st_out = tmp_path / "st"
+        assert main(["selftrain", "--config", tiny_config_file,
+                     "--params", str(pre_out / "checkpoint.txt"), "--out", str(st_out)]) == 0
+        # Only the stages that ran, in run order: no pretraining under --params.
+        for out, stages in (
+            (plain_out, ["generate", "pretrain", "selftrain", "detect", "score"]),
+            (st_out, ["generate", "selftrain", "detect", "score"]),
+        ):
+            lines = [line.split(" = ") for line in (out / "manifest.txt").read_text().splitlines()
+                     if line.startswith("stage_s_")]
+            assert [key for key, _ in lines] == [f"stage_s_{name}" for name in stages]
+            assert all(float(value) >= 0.0 for _, value in lines)
+        # The timings live in the manifest only: the scored artifacts are what
+        # the library pipeline writes for the same config.
+        result = run_experiment(load_config(tiny_config_file, {}))
+        want = tmp_path / "want"
+        want.mkdir()
+        cli.write_metrics_jsonl(want / "metrics.jsonl", result.metrics)
+        cli.write_map_csv(want / "map.csv", result.evaluation)
+        localize.write_detections(want / "detections.tsv", result.detections)
+        for name in ("metrics.jsonl", "map.csv", "detections.tsv"):
+            assert (plain_out / name).read_bytes() == (want / name).read_bytes()
+
+    def test_manifest_config_round_trips(self, tiny_config_file, tmp_path):
+        out = tmp_path / "st"
+        assert main(["selftrain", "--config", tiny_config_file, "--seed", "6", "--lambda", "0.8",
+                     "--objective", "target-negative", "--out", str(out)]) == 0
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        snapshot = [line for line in (out / "manifest.txt").read_text().splitlines()
+                    if line.split(" = ", 1)[0] in names]
+        assert len(snapshot) == len(names)
+        rebuilt = ExperimentConfig(**parse_config_text("\n".join(snapshot)))
+        want = load_config(tiny_config_file, {
+            "seed": 6, "positive_confidence_ratio": 0.8, "objective": "target-negative",
+        })
+        assert rebuilt == want
 
 
 class TestSweeps:

@@ -9,6 +9,7 @@ from pntal.core import (
     ExperimentConfig,
     NonFiniteError,
     VideoRecord,
+    prototype_dimensions,
     snippet_true_labels,
     softmax_rows,
 )
@@ -113,6 +114,22 @@ class TestExperimentConfig:
         with pytest.raises(BadConfigError) as err:
             ExperimentConfig(objective="nonsense")
         assert "objective" in str(err.value)
+
+    def test_feature_dim_covers_prototypes(self):
+        assert [prototype_dimensions(c) for c in (1, 2, 3, 4, 5, 10, 20)] == [1, 3, 4, 6, 7, 15, 30]
+        with pytest.raises(BadConfigError) as err:
+            ExperimentConfig(class_count=20, feature_dim=16)
+        assert "feature_dim" in str(err.value)
+        with pytest.raises(BadConfigError):
+            ExperimentConfig(class_count=5, feature_dim=6)
+        assert ExperimentConfig(class_count=5, feature_dim=7).feature_dim == 7
+        assert ExperimentConfig(class_count=20, feature_dim=30).feature_dim == 30
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(BadConfigError) as err:
+            ExperimentConfig(seed=-1)
+        assert "seed" in str(err.value)
+        assert ExperimentConfig(seed=0).seed == 0
 
     def test_window_input_dim(self):
         cfg = ExperimentConfig(feature_window=2)

@@ -147,9 +147,9 @@ class TestBackward:
 class TestStep:
     def test_zero_gradients_keep_params(self):
         params = init_params(3, 4, 3, seed=6)
-        state = init_optimizer(params, 0.1)
+        state = init_optimizer(params)
         grads = backward_batch(forward_batch(params, np.ones((1, 3)))[2], np.zeros((1, 3)), np.zeros(1))
-        new_params, new_state = step(params, grads, state)
+        new_params, new_state = step(params, grads, state, learning_rate=0.1)
         for name in model.PARAM_FIELDS:
             assert np.array_equal(np.asarray(getattr(new_params, name)),
                                   np.asarray(getattr(params, name)))
@@ -157,7 +157,7 @@ class TestStep:
 
     def test_zero_learning_rate(self):
         params = init_params(3, 4, 3, seed=7)
-        state = init_optimizer(params, 0.1)
+        state = init_optimizer(params)
         _, _, cache = forward_batch(params, np.ones((1, 3)))
         grads = backward_batch(cache, np.array([[1.0, -2.0, 0.5]]), np.array([0.3]))
         new_params, _ = step(params, grads, state, learning_rate=0.0)
@@ -168,7 +168,7 @@ class TestStep:
     def test_hand_computed_trajectory(self):
         # Single scalar parameter emulated via mask_b; known gradient sequence.
         params = zero_params()
-        state = init_optimizer(params, 0.1)
+        state = init_optimizer(params)
         grads_seq = [1.0, -0.5, 2.0]
         value = 0.0
         m = v = 0.0
@@ -188,23 +188,14 @@ class TestStep:
 
     def test_non_finite_gradient_rejected(self):
         params = zero_params()
-        state = init_optimizer(params, 0.1)
+        state = init_optimizer(params)
         grads = model.ParamGrads(
             trunk_w=np.full_like(params.trunk_w, np.nan), trunk_b=np.zeros_like(params.trunk_b),
             class_w=np.zeros_like(params.class_w), class_b=np.zeros_like(params.class_b),
             mask_w=np.zeros_like(params.mask_w), mask_b=0.0,
         )
         with pytest.raises(NonFiniteGradientError):
-            step(params, grads, state)
-
-    def test_weight_decay_shrinks_weights(self):
-        params = init_params(3, 4, 3, seed=8)
-        state = init_optimizer(params, 0.1)
-        _, _, cache = forward_batch(params, np.ones((1, 3)))
-        grads = backward_batch(cache, np.zeros((1, 3)), np.zeros(1))
-        decayed, _ = step(params, grads, state, weight_decay=0.5)
-        assert np.allclose(decayed.trunk_w, params.trunk_w * (1 - 0.1 * 0.5))
-        assert np.array_equal(decayed.trunk_b, params.trunk_b)
+            step(params, grads, state, learning_rate=0.1)
 
 
 def test_cosine_decay_schedule():
@@ -256,7 +247,7 @@ def test_training_sanity_two_class():
     centers = np.array([[2.0, 0, 0, 0, 0, 0], [0, 2.0, 0, 0, 0, 0]])
     x = centers[labels - 1] + 0.2 * rng.normal(size=(n, d))
     params = init_params(d, 16, 3, seed=13)
-    state = init_optimizer(params, 5e-3)
+    state = init_optimizer(params)
     for step_idx in range(200):
         rows = rng.integers(0, n, size=64)
         probs, scores, cache = forward_batch(params, x[rows])
@@ -271,7 +262,7 @@ def test_training_sanity_two_class():
         )
         _, gl, gm = batch_terms(arrays, alpha=0.0)
         grads = backward_batch(cache, gl, gm)
-        params, state = step(params, grads, state)
+        params, state = step(params, grads, state, learning_rate=5e-3)
     probs, _, _ = forward_batch(params, x)
     accuracy = float((np.argmax(probs, axis=1) + 1 == labels).mean())
     assert accuracy >= 0.99

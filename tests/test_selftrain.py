@@ -299,13 +299,6 @@ class TestSelfTrainLoop:
             assert np.array_equal(np.asarray(getattr(a, name)), np.asarray(getattr(b, name)))
         assert [m.to_dict() for m in metrics_a] == [m.to_dict() for m in metrics_b]
 
-    def test_refresh_per_step_runs(self):
-        cfg = small_config(refresh_per_step=True, selftrain_epochs=2)
-        bench = datagen.generate_benchmark(cfg)
-        params = pretrain(bench.labeled, cfg)
-        out, metrics = self_train_loop(params, bench.labeled, bench.unlabeled, cfg)
-        assert len(metrics) == 2
-
     def test_frozen_annotations_give_identical_loss(self):
         cfg = small_config()
         bench = datagen.generate_benchmark(cfg)
