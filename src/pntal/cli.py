@@ -272,23 +272,32 @@ def _sweep(
     Each seed's dataset is generated once and shared by every variant: the
     overrides (objective, lambda) are not inputs to generate_benchmark. Each
     variant's seed rows are followed by its mean row. Returns the manifest
-    lines: the seeds and each seed's labeled instance counts.
+    lines: the seeds, each seed's labeled instance counts, and each stage's
+    wall time per seed (stage_s_generate, then stage_s_<variant>_<stage> for
+    the pretrain, selftrain, detect and score stages of each variant).
     """
     seed_list = [config.seed + i for i in range(seeds)]
     maps: List[List[float]] = [[] for _ in variants]
+    stage_s: Dict[str, List[float]] = {}  # manifest key -> one wall time per seed
     labeled_counts = []
     for seed in seed_list:
-        benchmark = datagen.generate_benchmark(config.replace(seed=seed))
+        generate_s: Dict[str, float] = {}
+        with _stage(generate_s, "generate"):
+            benchmark = datagen.generate_benchmark(config.replace(seed=seed))
+        stage_s.setdefault("stage_s_generate", []).append(generate_s["generate"])
         labeled_counts.append(_labeled_counts(benchmark, config.class_count))
-        for values, (_, overrides) in zip(maps, variants):
+        for values, (label, overrides) in zip(maps, variants):
             result = run_experiment(config.replace(seed=seed, **overrides), benchmark=benchmark)
             values.append(result.evaluation.average_map)
+            for name, seconds in result.stage_s.items():
+                stage_s.setdefault(f"stage_s_{label}_{name}", []).append(seconds)
     rows = []
     for (label, _), values in zip(variants, maps):
         rows.extend([label, seed, value] for seed, value in zip(seed_list, values))
         rows.append([label, "mean", float(np.mean(values))])
     write_csv(out / filename, (column, "seed", "average_map"), rows)
-    return [("seeds", seed_list)] + _labeled_report(*labeled_counts)
+    report = [("seeds", seed_list)] + _labeled_report(*labeled_counts)
+    return report + [(key, [round(t, 6) for t in times]) for key, times in stage_s.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Everything here is written as plainly as possible (python loops, direct
 definitions) and must stay independent of the library code paths it checks.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -188,3 +189,17 @@ def softmax_list(logits):
     exps = [math.exp(z - m) for z in logits]
     total = sum(exps)
     return [e / total for e in exps]
+
+
+def complement_key(feature_bytes):
+    """The complementary draw's content key: blake2b-8 of the row bytes, little-endian."""
+    return int.from_bytes(hashlib.blake2b(feature_bytes, digest_size=8).digest(), "little")
+
+
+def reference_complement_choice(key, seed, epoch, label_count, target):
+    """One row's complementary class through numpy's own generator: the first
+    integers(1, K) of SeedSequence([seed, 0xD44, epoch, key]), shifted past
+    the target."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD44, epoch, key]))
+    pick = int(rng.integers(1, label_count))
+    return pick if pick < target else pick + 1

@@ -1,4 +1,5 @@
-"""The benchmark's view of the program: what perfbench/ wraps and reads still exists.
+"""The benchmark's view of the program: what perfbench/ wraps and reads still
+exists, and the sweep workload's contract check on the complementary draw passes.
 
 Tier-1 otherwise never imports perfbench/, so renaming or deleting a program
 name that the benchmark uses would break only the benchmark. The check runs
@@ -36,15 +37,21 @@ for point in workloads.LAYER_POINTS:
 features = np.arange(12.0).reshape(4, 3)
 video = VideoRecord("v", features, (ActionInstance(0, 1, 2),), labeled=True)
 assert workloads._video_fingerprint(video) == ("v", features.tobytes(), [(0, 1, 2)])
+
+# The sweep workload's contract check on the complementary draw.
+sweep = workloads.Sweep(1, Path({out!r}))
+sweep.setup()
+problems = sweep._check_complementary(1)
+assert not problems, problems
 print("ok")
 """
 
 
-def test_benchmark_wiring():
+def test_benchmark_wiring(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT.format(root=str(ROOT))],
+        [sys.executable, "-c", SCRIPT.format(root=str(ROOT), out=str(tmp_path))],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -410,8 +410,18 @@ class TestSweeps:
                      "--seeds", "2"] + extra) == 0
         assert generate_calls == [5, 6]  # one dataset per seed, not per (variant, seed)
         config = load_config(tiny_config_file, {})
-        assert "seeds = 5 6" in (out / "manifest.txt").read_text().splitlines()
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "seeds = 5 6" in manifest
         assert_labeled_counts(out, config, seeds=[5, 6])
+        # Stage wall times, one value per seed, in the manifest only.
+        stages = [line.split(" = ") for line in manifest if line.startswith("stage_s_")]
+        assert [key for key, _ in stages] == ["stage_s_generate"] + [
+            f"stage_s_{label}_{name}" for label, _ in variants
+            for name in ("pretrain", "selftrain", "detect", "score")
+        ]
+        for _, values in stages:
+            assert len(values.split()) == 2
+            assert all(float(v) >= 0.0 for v in values.split())
         rows = [row.split(",") for row in (out / filename).read_text().strip().splitlines()[1:]]
         assert [row[:2] for row in rows] == [
             [label, seed] for label, _ in variants for seed in ("5", "6", "mean")

@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,12 @@ from pntal.selftrain import (
     video_feature_matrix,
 )
 
-from oracles import brute_force_negatives, brute_force_positives
+from oracles import (
+    brute_force_negatives,
+    brute_force_positives,
+    complement_key,
+    reference_complement_choice,
+)
 
 
 def small_config(**kwargs):
@@ -50,6 +58,21 @@ def unlabeled_video(video_id, n, d, rng):
 
 def annotate(params, video, cfg):
     return assign_annotation(params, video_feature_matrix(video, cfg.feature_window), cfg)
+
+
+def chi_square_upper_quantile(df, p):
+    """x with P(chi2_df > x) = p, by bisection on the closed-form survival
+    function of an even df: exp(-x/2) * sum_{i < df/2} (x/2)^i / i!."""
+    assert df % 2 == 0
+
+    def survival(x):
+        return math.exp(-x / 2) * sum((x / 2) ** i / math.factorial(i) for i in range(df // 2))
+
+    lo, hi = 0.0, 1000.0
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if survival(mid) > p else (lo, mid)
+    return hi
 
 
 def row_partition(ann, i):
@@ -167,15 +190,44 @@ class TestAssignPseudoLabels:
         assert row_partition(annotate(params, video, cfg), 0) == (1, {5, 4}, set())
 
         cfg = small_config(sharpen_temperature=1.0, objective="complementary")
-        target, negatives, positives = row_partition(annotate(params, video, cfg), 0)
-        assert len(negatives) == 1
-        assert positives == set()
-        assert 1 not in negatives
+        ann = annotate(params, video, cfg)
+        for i in range(video.snippet_count):
+            target, negatives, positives = row_partition(ann, i)
+            assert target == 1 and positives == set()
+            key = complement_key(video.features[i].tobytes())
+            assert negatives == {reference_complement_choice(key, cfg.seed, 0, cfg.label_count, 1)}
 
         cfg = small_config(sharpen_temperature=1.0, objective="soft-pseudo")
         ann = annotate(params, video, cfg)
         assert ann.soft is not None
         assert np.allclose(ann.soft[0], probs, atol=1e-12)
+
+    def test_complementary_contract(self):
+        """One negative per row, never the target, no positives; the pick
+        depends on the row alone and is uniform over the K - 1 non-targets."""
+        cfg = small_config(class_count=5, objective="complementary")
+        bench = datagen.generate_benchmark(cfg)
+        params = pretrain(bench.labeled, cfg)
+        features = np.random.default_rng(11).normal(size=(50_000, cfg.model_input_dim))
+        ann = assign_annotation(params, features, cfg, epoch=3)
+        rows = np.arange(len(features))
+        assert np.all(ann.neg_mask.sum(axis=1) == 1)
+        assert not ann.neg_mask[rows, ann.targets - 1].any()
+        assert not ann.pos_mask.any()
+        assert len(np.unique(ann.targets)) > 1
+
+        perm = np.random.default_rng(12).permutation(len(features))
+        shuffled = assign_annotation(params, features[perm], cfg, epoch=3)
+        assert np.array_equal(shuffled.targets, ann.targets[perm])
+        assert np.array_equal(shuffled.neg_mask, ann.neg_mask[perm])
+
+        picks = np.argmax(ann.neg_mask, axis=1) + 1
+        slot = picks - 1 - (picks > ann.targets)  # 0..K-2 among the non-targets
+        counts = np.bincount(slot, minlength=cfg.label_count - 1)
+        assert len(counts) == cfg.label_count - 1
+        expected = len(features) / (cfg.label_count - 1)
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < chi_square_upper_quantile(cfg.label_count - 2, 1e-6), counts
 
     def test_inputs_unchanged(self):
         cfg = small_config()
@@ -198,6 +250,77 @@ class TestAssignPseudoLabels:
             sharpened = selftrain.sharpen_rows(probs, cfg.sharpen_temperature)
             for i in range(source.snippet_count):
                 assert ann.targets[i] == int(np.argmax(sharpened[i])) + 1
+
+
+class TestComplementDraw:
+    """The array draw against numpy's per-row generator, which it reproduces
+    bit for bit: any drift in the SeedSequence mix, the PCG64 step or output,
+    or the bounded integers draw shows as a mismatch. Run on numpy 2.4.6; the
+    package allows numpy >= 1.24."""
+
+    PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    @pytest.mark.parametrize("seed, epoch", [(0, 0), (1003, 7), (2**40 + 5, 3), (7, 2**33)])
+    def test_matches_numpy_per_row(self, seed, epoch):
+        rng = np.random.default_rng([seed, epoch])
+        keys = rng.integers(0, 2**64, size=20_000, dtype=np.uint64)
+        keys[:6] = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        keys[6:300] = rng.integers(0, 2**32, size=294, dtype=np.uint64)  # one entropy word
+        # label count 3 * 2^30 + 1: Lemire's draw rejects a quarter of the words
+        for label_count, n in ((2, 20_000), (3, 20_000), (11, 20_000), (51, 20_000), (3 * 2**30 + 1, 2_000)):
+            targets = rng.integers(1, label_count + 1, size=n)
+            got = selftrain._complement_picks(keys[:n], seed, epoch, label_count, targets)
+            want = [reference_complement_choice(int(k), seed, epoch, label_count, int(t))
+                    for k, t in zip(keys[:n], targets)]
+            assert got.tolist() == want, label_count
+
+    def test_content_keys(self):
+        features = np.random.default_rng(4).normal(size=(50, 7))
+        keys = selftrain._content_keys(features[:, 1:])  # non-contiguous rows
+        assert keys.tolist() == [complement_key(row.tobytes()) for row in features[:, 1:]]
+
+    @pytest.mark.parametrize("label_count", [11, 51])
+    def test_lemire_rejection_continues_the_stream(self, label_count):
+        """Fresh PCG64 states whose first output's low word is rejected: the
+        draw reads the high word, then steps once more when that is rejected too."""
+        bound = label_count - 1
+        threshold = 2**32 % bound
+        rejected = [w for w in (-(-j * 2**32 // bound) for j in range(bound))
+                    if (w * bound) % 2**32 < threshold]
+        accepted = 12345
+        assert rejected and (accepted * bound) % 2**32 >= threshold
+        rand = random.Random(label_count)
+        mask64 = 2**64 - 1
+        mult_inv = pow(self.PCG_MULT, -1, 2**128)
+        states, incs, want = [], [], []
+        for low in rejected:
+            for high in (accepted, rand.choice(rejected)):
+                inc = rand.getrandbits(128) | 1
+                state_hi = rand.getrandbits(64)
+                out = (high << 32) | low
+                rot = state_hi >> 58
+                x = ((out << rot) | (out >> (64 - rot))) & mask64  # XSL-RR inverted
+                stepped = (state_hi << 64) | (x ^ state_hi)
+                state = (stepped - inc) * mult_inv % 2**128
+                bit_gen = np.random.PCG64()
+                bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                 "has_uint32": 0, "uinteger": 0}
+                pick = int(np.random.Generator(bit_gen).integers(1, label_count))
+                after = bit_gen.state["state"]["state"]
+                if high == accepted:  # numpy read exactly the constructed output's two words
+                    assert pick == 1 + (high * bound >> 32) and after == stepped
+                else:
+                    assert after == (stepped * self.PCG_MULT + inc) % 2**128
+                states.append(state)
+                incs.append(inc)
+                want.append(pick)
+
+        def halves(values):
+            return (np.array([v >> 64 for v in values], dtype=np.uint64),
+                    np.array([v & mask64 for v in values], dtype=np.uint64))
+
+        got = selftrain._pcg64_bounded(*halves(states), *halves(incs), bound) + 1
+        assert got.tolist() == want
 
 
 class TestSubspaceStatistics:
