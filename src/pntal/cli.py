@@ -206,10 +206,10 @@ class ExperimentResult:
 
 @contextmanager
 def _stage(stage_s: Dict[str, float], name: str):
-    """Record the wall time of the with-block as stage_s[name]."""
+    """Add the wall time of the with-block to stage_s[name]."""
     started = time.perf_counter()
     yield
-    stage_s[name] = time.perf_counter() - started
+    stage_s[name] = stage_s.get(name, 0.0) + time.perf_counter() - started
 
 
 def _train(
@@ -270,27 +270,36 @@ def _sweep(
     """Run each (label, overrides) variant on consecutive seeds; write a CSV.
 
     Each seed's dataset is generated once and shared by every variant: the
-    overrides (objective, lambda) are not inputs to generate_benchmark. Each
-    variant's seed rows are followed by its mean row. Returns the manifest
-    lines: the seeds, each seed's labeled instance counts, and each stage's
-    wall time per seed (stage_s_generate, then stage_s_<variant>_<stage> for
-    the pretrain, selftrain, detect and score stages of each variant).
+    overrides (objective, lambda) are not inputs to generate_benchmark. So is
+    its pretrained model, among variants whose overrides leave
+    selftrain.PRETRAIN_FIELDS alone; self_train_loop never writes into it.
+    Each variant's seed rows are followed by its mean row. Returns the
+    manifest lines: the seeds, each seed's labeled instance counts, and each
+    stage's wall time per seed (stage_s_generate, stage_s_pretrain, then
+    stage_s_<variant>_<stage> for the selftrain, detect and score stages of
+    each variant).
     """
     seed_list = [config.seed + i for i in range(seeds)]
     maps: List[List[float]] = [[] for _ in variants]
     stage_s: Dict[str, List[float]] = {}  # manifest key -> one wall time per seed
     labeled_counts = []
     for seed in seed_list:
-        generate_s: Dict[str, float] = {}
-        with _stage(generate_s, "generate"):
+        seed_s: Dict[str, float] = {}
+        with _stage(seed_s, "generate"):
             benchmark = datagen.generate_benchmark(config.replace(seed=seed))
-        stage_s.setdefault("stage_s_generate", []).append(generate_s["generate"])
         labeled_counts.append(_labeled_counts(benchmark, config.class_count))
+        pretrained: Dict[tuple, model.ModelParams] = {}
         for values, (label, overrides) in zip(maps, variants):
-            result = run_experiment(config.replace(seed=seed, **overrides), benchmark=benchmark)
+            variant = config.replace(seed=seed, **overrides)
+            key = selftrain.pretrain_key(variant)
+            if key not in pretrained:
+                with _stage(seed_s, "pretrain"):
+                    pretrained[key] = selftrain.pretrain(benchmark.labeled, variant)
+            result = run_experiment(variant, benchmark=benchmark, params=pretrained[key])
             values.append(result.evaluation.average_map)
-            for name, seconds in result.stage_s.items():
-                stage_s.setdefault(f"stage_s_{label}_{name}", []).append(seconds)
+            seed_s.update((f"{label}_{name}", seconds) for name, seconds in result.stage_s.items())
+        for name, seconds in seed_s.items():
+            stage_s.setdefault(f"stage_s_{name}", []).append(seconds)
     rows = []
     for (label, _), values in zip(variants, maps):
         rows.extend([label, seed, value] for seed, value in zip(seed_list, values))

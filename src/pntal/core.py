@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,11 +32,15 @@ class BadConfigError(Error, ValueError):
         super().__init__(f"config field '{fieldname}': {message}")
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax for a 2-D logit matrix."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=1, keepdims=True)
+def softmax_rows(logits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row-wise stable softmax for a 2-D logit matrix.
+
+    Written into ``out`` when given, which may be ``logits`` itself.
+    """
+    out = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 @dataclass(frozen=True)

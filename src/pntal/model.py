@@ -1,16 +1,18 @@
 """Small differentiable snippet model and its from-scratch optimizer.
 
 One shared hidden layer feeds a softmax classification head over C+1 classes
-and a sigmoid mask head that scores the snippet as foreground. Forward caches
-activations; backward produces exact reverse-mode gradients. Updates use an
-adaptive-moment rule with bias correction; the fine-tuning schedule applies
-cosine decay to the base learning rate.
+and a sigmoid mask head that scores the snippet as foreground. Training runs
+in a Workspace: forward and backward write into its buffers, backward gives
+exact reverse-mode gradients, and updates use an adaptive-moment rule with
+bias correction over its flat parameter vector. The fine-tuning schedule
+applies cosine decay to the base learning rate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -30,10 +32,6 @@ class ShapeMismatchError(Error, ValueError):
     pass
 
 
-class StaleCacheError(Error, RuntimeError):
-    pass
-
-
 class NonFiniteGradientError(Error, RuntimeError):
     pass
 
@@ -49,7 +47,7 @@ class ModelParams:
     class_w: np.ndarray  # (h, C+1)
     class_b: np.ndarray  # (C+1,)
     mask_w: np.ndarray  # (h,)
-    mask_b: float
+    mask_b: float  # a 0-d array view in Workspace.params
 
     def __post_init__(self):
         d, h = self.trunk_w.shape
@@ -75,21 +73,17 @@ class ModelParams:
     def label_count(self) -> int:
         return self.class_w.shape[1]
 
-    def checksum(self) -> tuple:
-        return tuple(float(np.sum(getattr(self, name))) for name in PARAM_FIELDS)
 
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ParamGrads:
+    """Named views of Workspace.grad, one per parameter field."""
+
     trunk_w: np.ndarray
     trunk_b: np.ndarray
     class_w: np.ndarray
     class_b: np.ndarray
     mask_w: np.ndarray
-    mask_b: float
-
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(getattr(self, name))) for name in PARAM_FIELDS)
+    mask_b: np.ndarray  # 0-d
 
 
 def _glorot(rng, fan_in, fan_out, shape):
@@ -110,129 +104,171 @@ def init_params(input_dim: int, hidden_width: int, label_count: int, seed: int) 
     )
 
 
-@dataclass(eq=False)
-class ForwardCache:
-    params: ModelParams
-    checksum: tuple
-    features: np.ndarray  # (N, d)
-    pre_hidden: np.ndarray  # (N, h)
-    hidden: np.ndarray  # (N, h)
-    probs: np.ndarray  # (N, K)
-    mask_scores: np.ndarray  # (N,)
+def _views(flat: np.ndarray, shapes) -> dict:
+    """Consecutive views of a flat vector, one per (name, shape)."""
+    views, offset = {}, 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
 
 
-def forward_batch(params: ModelParams, features: np.ndarray):
+class Workspace:
+    """The memory of one training phase, allocated once.
+
+    ``theta``, ``grad``, ``m`` and ``v`` are flat float64 vectors of one
+    layout: parameters, gradients and the two adaptive moments. ``params``
+    and ``grads`` are named views into ``theta`` and ``grad``, so ``step``
+    updates ``params`` in place in one elementwise pass. Construction copies
+    the given parameters; they are never written.
+
+    The batch buffers hold up to ``rows`` rows: ``features`` for the
+    caller's gather, then the activations and backward temporaries that
+    forward_batch and backward_batch write into their first n rows.
+    ``reserve`` sizes them and ``release`` frees them between uses.
+    """
+
+    def __init__(self, params: ModelParams, rows: int = 0):
+        shapes = [(name, np.shape(getattr(params, name))) for name in PARAM_FIELDS]
+        size = sum(math.prod(shape) for _, shape in shapes)
+        self.theta = np.concatenate([np.ravel(getattr(params, name)) for name in PARAM_FIELDS])
+        self.grad = np.zeros(size)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._step_a = np.empty(size)
+        self._step_b = np.empty(size)
+        self.step_count = 0
+        self.params = ModelParams(**_views(self.theta, shapes))
+        self.grads = ParamGrads(**_views(self.grad, shapes))
+        self.reserve(rows)
+
+    def reserve(self, rows: int) -> None:
+        """Batch buffers for up to ``rows`` rows, replacing any held before."""
+        d, h, k = self.params.input_dim, self.params.hidden_width, self.params.label_count
+        self.rows = rows
+        self.features = np.empty((rows, d))
+        self.hidden = np.empty((rows, h))
+        self.probs = np.empty((rows, k))
+        self.scores = np.empty(rows)
+        self.grad_hidden = np.empty((rows, h))
+        self.grad_hidden_mask = np.empty((rows, h))
+        self.active = np.empty((rows, h), dtype=bool)
+        self.grad_u = np.empty(rows)
+        self.grad_u_tmp = np.empty(rows)
+        self.forward_rows = 0
+
+    def release(self) -> None:
+        self.reserve(0)
+
+    def snapshot(self) -> ModelParams:
+        """A copy of the current parameters that later steps leave alone."""
+        fields = {name: getattr(self.params, name).copy() for name in PARAM_FIELDS}
+        fields["mask_b"] = float(fields["mask_b"])
+        return ModelParams(**fields)
+
+
+def forward_batch(params: ModelParams, features: np.ndarray, work: Optional[Workspace] = None):
     """Run the model over an (N, d) feature matrix.
 
-    Returns (probs (N, K), mask_scores (N,), cache).
+    Returns (probs (N, K), mask_scores (N,), hidden (N, h)), the hidden
+    activations after the ReLU. Given a workspace (whose ``params`` these
+    must be), the results are views of its buffers' first N rows, where
+    backward_batch reads them; otherwise they are new arrays.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ShapeMismatchError(
             f"features shape {x.shape} incompatible with input dim {params.input_dim}"
         )
-    z1 = x @ params.trunk_w + params.trunk_b
-    h = np.maximum(z1, 0.0)
-    logits = h @ params.class_w + params.class_b
-    probs = softmax_rows(logits)
-    u = h @ params.mask_w + params.mask_b
-    scores = 1.0 / (1.0 + np.exp(-u))
-    cache = ForwardCache(
-        params=params,
-        checksum=params.checksum(),
-        features=x,
-        pre_hidden=z1,
-        hidden=h,
-        probs=probs,
-        mask_scores=scores,
-    )
-    return probs, scores, cache
+    n = x.shape[0]
+    if work is None:
+        hidden = np.empty((n, params.hidden_width))
+        probs = np.empty((n, params.label_count))
+        scores = np.empty(n)
+    elif n > work.rows:
+        raise ShapeMismatchError(f"batch of {n} rows exceeds the workspace's {work.rows}")
+    else:
+        hidden, probs, scores = work.hidden[:n], work.probs[:n], work.scores[:n]
+        work.forward_rows = n
+    np.matmul(x, params.trunk_w, out=hidden)
+    hidden += params.trunk_b
+    np.maximum(hidden, 0.0, out=hidden)
+    np.matmul(hidden, params.class_w, out=probs)
+    probs += params.class_b
+    softmax_rows(probs, out=probs)
+    np.matmul(hidden, params.mask_w, out=scores)
+    scores += params.mask_b
+    np.negative(scores, out=scores)
+    np.exp(scores, out=scores)
+    scores += 1.0
+    np.divide(1.0, scores, out=scores)
+    return probs, scores, hidden
 
 
-def backward_batch(cache: ForwardCache, grad_logits: np.ndarray, grad_mask: np.ndarray) -> ParamGrads:
-    """Exact gradients of the cached forward pass.
+def backward_batch(
+    work: Workspace, features: np.ndarray, grad_logits: np.ndarray, grad_mask: np.ndarray
+) -> ParamGrads:
+    """Exact gradients of the workspace's last forward pass, into work.grads.
 
-    grad_logits is dLoss/dlogits (N, K); grad_mask is dLoss/dscore (N,),
-    taken with respect to the post-sigmoid mask score.
+    features are that pass's inputs; grad_logits is dLoss/dlogits (N, K) and
+    grad_mask is dLoss/dscore (N,), taken with respect to the post-sigmoid
+    mask score.
     """
-    if cache.params.checksum() != cache.checksum:
-        raise StaleCacheError("parameters changed since forward; rerun forward")
+    n = work.forward_rows
     gl = np.asarray(grad_logits, dtype=np.float64)
     gs = np.asarray(grad_mask, dtype=np.float64)
-    n = cache.features.shape[0]
-    if gl.shape != cache.probs.shape or gs.shape != (n,):
-        raise ShapeMismatchError("upstream gradient shapes do not match cache")
-
-    s = cache.mask_scores
-    gu = gs * s * (1.0 - s)
-    h = cache.hidden
-    grads = ParamGrads(
-        trunk_w=np.zeros_like(cache.params.trunk_w),
-        trunk_b=np.zeros_like(cache.params.trunk_b),
-        class_w=h.T @ gl,
-        class_b=gl.sum(axis=0),
-        mask_w=h.T @ gu,
-        mask_b=float(gu.sum()),
-    )
-    dh = gl @ cache.params.class_w.T + gu[:, None] * cache.params.mask_w[None, :]
-    dz1 = dh * (cache.pre_hidden > 0.0)
-    grads.trunk_w = cache.features.T @ dz1
-    grads.trunk_b = dz1.sum(axis=0)
+    if features.shape[0] != n or gl.shape != (n, work.params.label_count) or gs.shape != (n,):
+        raise ShapeMismatchError("inputs and upstream gradients do not match the forward pass")
+    params, grads = work.params, work.grads
+    h, s = work.hidden[:n], work.scores[:n]
+    gu, tmp = work.grad_u[:n], work.grad_u_tmp[:n]
+    np.multiply(gs, s, out=gu)
+    np.subtract(1.0, s, out=tmp)
+    gu *= tmp
+    np.matmul(h.T, gl, out=grads.class_w)
+    np.sum(gl, axis=0, out=grads.class_b)
+    np.matmul(h.T, gu, out=grads.mask_w)
+    np.sum(gu, out=grads.mask_b)
+    # The ReLU ran in place: hidden > 0 exactly where pre-activation > 0.
+    dh, dh_mask, active = work.grad_hidden[:n], work.grad_hidden_mask[:n], work.active[:n]
+    np.matmul(gl, params.class_w.T, out=dh)
+    np.multiply(gu[:, None], params.mask_w[None, :], out=dh_mask)
+    dh += dh_mask
+    np.greater(h, 0.0, out=active)
+    dh *= active
+    np.matmul(features.T, dh, out=grads.trunk_w)
+    np.sum(dh, axis=0, out=grads.trunk_b)
     return grads
 
 
-@dataclass(eq=False)
-class OptimizerState:
-    """Adaptive-moment accumulators and the number of updates taken."""
-
-    m: ParamGrads
-    v: ParamGrads
-    step_count: int
-
-
-def init_optimizer(params: ModelParams) -> OptimizerState:
-    zeros = lambda: ParamGrads(
-        trunk_w=np.zeros_like(params.trunk_w),
-        trunk_b=np.zeros_like(params.trunk_b),
-        class_w=np.zeros_like(params.class_w),
-        class_b=np.zeros_like(params.class_b),
-        mask_w=np.zeros_like(params.mask_w),
-        mask_b=0.0,
-    )
-    return OptimizerState(m=zeros(), v=zeros(), step_count=0)
-
-
-def step(params: ModelParams, grads: ParamGrads, state: OptimizerState, learning_rate: float):
-    """One adaptive-moment update with bias correction; returns (params, state).
+def step(work: Workspace, learning_rate: float) -> None:
+    """One adaptive-moment update of work.params in place, with bias correction.
 
     The caller owns the schedule and passes each step's learning rate. Every
     parameter, weights and biases alike, moves by
     learning_rate * m_hat / (sqrt(v_hat) + eps); a non-finite gradient aborts
     the update before anything changes.
     """
-    if not grads.is_finite():
+    if not np.isfinite(work.grad).all():
         raise NonFiniteGradientError("aborted update: non-finite gradient")
-    t = state.step_count + 1
-    new_params = {}
-    new_m = {}
-    new_v = {}
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    for name in PARAM_FIELDS:
-        g = getattr(grads, name)
-        m = ADAM_BETA1 * getattr(state.m, name) + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * getattr(state.v, name) + (1.0 - ADAM_BETA2) * np.square(g)
-        update = learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        new_params[name] = getattr(params, name) - update
-        new_m[name] = m
-        new_v[name] = v
-    new_params["mask_b"] = float(new_params["mask_b"])
-    new_m["mask_b"] = float(new_m["mask_b"])
-    new_v["mask_b"] = float(new_v["mask_b"])
-    return (
-        ModelParams(**new_params),
-        OptimizerState(m=ParamGrads(**new_m), v=ParamGrads(**new_v), step_count=t),
-    )
+    t = work.step_count + 1
+    g, m, v, a, b = work.grad, work.m, work.v, work._step_a, work._step_b
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+    m += a
+    v *= ADAM_BETA2
+    np.square(g, out=a)
+    a *= 1.0 - ADAM_BETA2
+    v += a
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=a)
+    a *= learning_rate
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    work.theta -= a
+    work.step_count = t
 
 
 def cosine_decay(base_lr: float, step_index: int, total_steps: int) -> float:

@@ -33,6 +33,7 @@ checks it against numpy's own generator.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -52,6 +53,15 @@ _STREAM_PRETRAIN = 0xA11
 _STREAM_LABELED = 0xB22
 _STREAM_UNLABELED = 0xC33
 _STREAM_COMPLEMENT = 0xD44
+
+# Every ExperimentConfig field pretrain reads. Configs that agree on these get
+# bit-identical pretrained params from the same labeled videos, so a sweep
+# pretrains once per seed for variants that differ only elsewhere (objective,
+# lambda). A field pretrain starts to read belongs here.
+PRETRAIN_FIELDS = (
+    "class_count", "feature_dim", "feature_window", "hidden_width",
+    "pretrain_epochs", "learning_rate", "batch_size", "seed",
+)
 
 
 class EmptyLabeledSetError(Error, ValueError):
@@ -104,6 +114,11 @@ class UnlabeledPool:
     @property
     def size(self) -> int:
         return len(self.video_index)
+
+    @functools.cached_property
+    def content_keys(self) -> np.ndarray:
+        """Each row's complementary-draw key, hashed once per pool."""
+        return _content_keys(self.features)
 
 
 @dataclass(eq=False)
@@ -341,8 +356,13 @@ def assign_annotation(
     features: np.ndarray,
     config: ExperimentConfig,
     epoch: int = 0,
+    content_keys: Optional[np.ndarray] = None,
 ) -> PseudoAnnotation:
-    """Pseudo supervision arrays for a feature matrix under the active objective."""
+    """Pseudo supervision arrays for a feature matrix under the active objective.
+
+    content_keys are the rows' keys for the complementary draw
+    (UnlabeledPool.content_keys); they are hashed here when not given.
+    """
     if features.shape[0] == 0:
         k = config.label_count
         return PseudoAnnotation(
@@ -375,9 +395,9 @@ def assign_annotation(
     elif objective == "complementary":
         neg_mask = np.zeros_like(neg_mask)
         pos_mask = np.zeros_like(pos_mask)
-        picks = _complement_picks(
-            _content_keys(features), config.seed, epoch, config.label_count, targets
-        )
+        if content_keys is None:
+            content_keys = _content_keys(features)
+        picks = _complement_picks(content_keys, config.seed, epoch, config.label_count, targets)
         neg_mask[np.arange(len(picks)), picks - 1] = True
     else:  # pragma: no cover - config validation rejects unknown objectives
         raise ValueError(f"unknown objective {objective!r}")
@@ -522,14 +542,25 @@ def _mixed_step_arrays(
     )
 
 
-def _train_step(params, opt_state, features, supervision, learning_rate, alpha):
+def _gather_features(work: model.Workspace, parts) -> np.ndarray:
+    """The (features, rows) parts' rows, stacked in order into work.features."""
+    n = 0
+    for features, rows in parts:
+        # mode="clip" writes straight into the buffer; the rows are slices of
+        # a permutation of the pool, so none is out of range.
+        np.take(features, rows, axis=0, out=work.features[n : n + len(rows)], mode="clip")
+        n += len(rows)
+    return work.features[:n]
+
+
+def _train_step(work: model.Workspace, features, supervision, learning_rate, alpha):
     """Forward, hybrid loss against the fixed supervision, backward, update."""
-    probs, scores, cache = model.forward_batch(params, features)
+    probs, scores, _ = model.forward_batch(work.params, features, work)
     arrays = dataclasses.replace(supervision, probs=probs, mask_scores=scores)
     breakdown, grad_logits, grad_mask = losses.batch_terms(arrays, alpha)
-    grads = model.backward_batch(cache, grad_logits, grad_mask)
-    params, opt_state = model.step(params, grads, opt_state, learning_rate)
-    return params, opt_state, breakdown
+    model.backward_batch(work, features, grad_logits, grad_mask)
+    model.step(work, learning_rate)
+    return breakdown
 
 
 def _mean_breakdown(parts: List[losses.LossBreakdown]) -> losses.LossBreakdown:
@@ -545,23 +576,30 @@ def _mean_breakdown(parts: List[losses.LossBreakdown]) -> losses.LossBreakdown:
     )
 
 
+def pretrain_key(config: ExperimentConfig) -> tuple:
+    """The values of PRETRAIN_FIELDS: equal keys, equal pretrain output."""
+    return tuple(getattr(config, name) for name in PRETRAIN_FIELDS)
+
+
 def pretrain(labeled_videos: Sequence[VideoRecord], config: ExperimentConfig) -> model.ModelParams:
-    """Supervised pretraining: target CE + all-non-target negative loss + mask BCE."""
+    """Supervised pretraining: target CE + all-non-target negative loss + mask BCE.
+
+    It reads only the config fields named in PRETRAIN_FIELDS.
+    """
     if not labeled_videos:
         raise EmptyLabeledSetError("pretraining needs at least one labeled video")
     pool = build_labeled_pool(labeled_videos, config)
     params = model.init_params(config.model_input_dim, config.hidden_width, config.label_count, config.seed)
-    opt_state = model.init_optimizer(params)
+    work = model.Workspace(params, rows=min(config.batch_size, pool.size))
     no_rows = np.zeros(0, dtype=np.int64)
     for epoch in range(config.pretrain_epochs):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_PRETRAIN, epoch]))
         for rows in _epoch_batches(rng, pool.size, config.batch_size):
             supervision = _mixed_step_arrays(pool, rows, None, no_rows, None, True, config.label_count)
-            params, opt_state, _ = _train_step(
-                params, opt_state, pool.features[rows], supervision,
-                config.learning_rate, config.unlabeled_loss_weight,
-            )
-    return params
+            features = _gather_features(work, [(pool.features, rows)])
+            # Every row is labeled, so no unsupervised weight applies.
+            _train_step(work, features, supervision, config.learning_rate, alpha=0.0)
+    return work.snapshot()
 
 
 def self_train_loop(
@@ -571,16 +609,24 @@ def self_train_loop(
     config: ExperimentConfig,
     sealed_labels: Optional[Mapping[str, np.ndarray]] = None,
 ) -> Tuple[model.ModelParams, List[EpochMetrics]]:
-    """Iterative self-training over the mixed labeled/pseudo-labeled stream."""
+    """Iterative self-training over the mixed labeled/pseudo-labeled stream.
+
+    It trains a copy of ``params`` and never writes into them, so several
+    loops may start from one pretrained model.
+    """
     labeled_pool = build_labeled_pool(labeled_videos, config)
     unlabeled_pool = build_unlabeled_pool(unlabeled_videos, config, sealed_labels)
     labeled_negative = config.objective in ("hybrid", "target-negative")
-    opt_state = model.init_optimizer(params)
+    keys = unlabeled_pool.content_keys if config.objective == "complementary" else None
+    work = model.Workspace(params)
     metrics: List[EpochMetrics] = []
 
     for epoch in range(config.selftrain_epochs):
         lr = model.cosine_decay(config.learning_rate, epoch, config.selftrain_epochs)
-        ann = assign_annotation(params, unlabeled_pool.features, config, epoch=epoch)
+        # The annotation pass runs with no batch buffers held, so they do not
+        # add to its peak memory.
+        ann = assign_annotation(work.params, unlabeled_pool.features, config, epoch=epoch,
+                                content_keys=keys)
 
         pseudo_accuracy = float("nan")
         subspace = None
@@ -597,19 +643,20 @@ def self_train_loop(
         else:
             uns_chunks = [np.zeros(0, dtype=np.int64) for _ in lab_batches]
 
+        work.reserve(max((len(l) + len(u) for l, u in zip(lab_batches, uns_chunks)), default=0))
         step_losses = []
         for lab_rows, uns_rows in zip(lab_batches, uns_chunks):
             supervision = _mixed_step_arrays(
                 labeled_pool, lab_rows, unlabeled_pool, uns_rows, ann,
                 labeled_negative, config.label_count,
             )
-            features = np.concatenate(
-                [labeled_pool.features[lab_rows], unlabeled_pool.features[uns_rows]]
+            features = _gather_features(
+                work, [(labeled_pool.features, lab_rows), (unlabeled_pool.features, uns_rows)]
             )
-            params, opt_state, breakdown = _train_step(
-                params, opt_state, features, supervision, lr, config.unlabeled_loss_weight
+            step_losses.append(
+                _train_step(work, features, supervision, lr, config.unlabeled_loss_weight)
             )
-            step_losses.append(breakdown)
+        work.release()
 
         metrics.append(
             EpochMetrics(
@@ -621,7 +668,7 @@ def self_train_loop(
                 subspace=subspace,
             )
         )
-    return params, metrics
+    return work.snapshot(), metrics
 
 
 def snippet_accuracy(

@@ -203,3 +203,49 @@ def reference_complement_choice(key, seed, epoch, label_count, target):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD44, epoch, key]))
     pick = int(rng.integers(1, label_count))
     return pick if pick < target else pick + 1
+
+
+# The snippet model's allocating formulas: every intermediate is a fresh array
+# and params/grads/moments are dicts of field name -> array (mask_b a float).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def reference_forward(params, x):
+    """(probs, scores, pre_hidden, hidden) of the two-head MLP."""
+    z1 = x @ params["trunk_w"] + params["trunk_b"]
+    h = np.maximum(z1, 0.0)
+    logits = h @ params["class_w"] + params["class_b"]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exps = np.exp(shifted)
+    probs = exps / exps.sum(axis=1, keepdims=True)
+    u = h @ params["mask_w"] + params["mask_b"]
+    scores = 1.0 / (1.0 + np.exp(-u))
+    return probs, scores, z1, h
+
+
+def reference_backward(params, x, pre_hidden, hidden, scores, grad_logits, grad_mask):
+    """Exact gradients given dLoss/dlogits and dLoss/dscore (post-sigmoid)."""
+    gu = grad_mask * scores * (1.0 - scores)
+    dh = grad_logits @ params["class_w"].T + gu[:, None] * params["mask_w"][None, :]
+    dz1 = dh * (pre_hidden > 0.0)
+    return {
+        "trunk_w": x.T @ dz1,
+        "trunk_b": dz1.sum(axis=0),
+        "class_w": hidden.T @ grad_logits,
+        "class_b": grad_logits.sum(axis=0),
+        "mask_w": hidden.T @ gu,
+        "mask_b": float(gu.sum()),
+    }
+
+
+def reference_adam(params, grads, m, v, t, learning_rate):
+    """Update number t (1-based) with bias correction; returns new (params, m, v)."""
+    new_params, new_m, new_v = {}, {}, {}
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    for name, g in grads.items():
+        new_m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+        new_v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * np.square(g)
+        update = learning_rate * (new_m[name] / bc1) / (np.sqrt(new_v[name] / bc2) + ADAM_EPS)
+        new_params[name] = params[name] - update
+    return new_params, new_m, new_v

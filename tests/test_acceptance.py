@@ -40,33 +40,45 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _member_sets(mask):
+    """Each row's set of 1-based classes marked in a boolean (N, K) mask."""
+    rows, cols = np.nonzero(mask)
+    sets = [set() for _ in range(len(mask))]
+    for r, c in zip(rows.tolist(), (cols + 1).tolist()):
+        sets[r].add(c)
+    return sets
+
+
 def test_criterion_1_partition_oracle():
     rng = np.random.default_rng(20240)
     trials = 100_000
     started = time.perf_counter()
     class_counts = rng.integers(2, 51, size=trials)
     ratios = rng.uniform(0.05, 1.0, size=trials)
-    pool = {c: iter(rng.dirichlet(np.full(c + 1, 0.6), size=int((class_counts == c).sum())))
-            for c in np.unique(class_counts)}
-    for i in range(trials):
-        c = int(class_counts[i])
-        probs = next(pool[c])
-        ratio = float(ratios[i])
-        targets, neg_mask, pos_mask = partition_rows(probs[None, :], ratio)
-        target0 = int(targets[0]) - 1
+    # Every trial of one class count goes through one partition_rows call,
+    # each row with its own ratio.
+    for c in np.unique(class_counts):
+        picked = np.flatnonzero(class_counts == c)
+        probs = rng.dirichlet(np.full(c + 1, 0.6), size=len(picked))
+        row_ratios = ratios[picked]
+        targets, neg_mask, pos_mask = partition_rows(probs, row_ratios)
+        target0 = targets - 1
+        rows = np.arange(len(picked))
         # The target is in no other subspace and the masks are disjoint, so
         # target, negatives, positives and the rest cover the label space once.
-        if neg_mask[0, target0] or pos_mask[0, target0] or (neg_mask & pos_mask).any():
-            report("criterion-1", False, f"disjoint cover violated on {probs!r}")
-        row = probs.tolist()
-        if target0 != row.index(max(row)):
-            report("criterion-1", False, f"target is not the first argmax on {probs!r}")
-        negatives = set((np.flatnonzero(neg_mask[0]) + 1).tolist())
-        if negatives != brute_force_negatives(row):
-            report("criterion-1", False, f"negative sets diverge on {probs!r}")
-        positives = set((np.flatnonzero(pos_mask[0]) + 1).tolist())
-        if positives != brute_force_positives(row, negatives, ratio):
-            report("criterion-1", False, f"positive sets diverge on {probs!r}")
+        broken = neg_mask[rows, target0] | pos_mask[rows, target0] | (neg_mask & pos_mask).any(axis=1)
+        if broken.any():
+            report("criterion-1", False, f"disjoint cover violated on {probs[np.argmax(broken)]!r}")
+        for row, t0, negatives, positives, ratio in zip(
+            probs.tolist(), target0.tolist(), _member_sets(neg_mask), _member_sets(pos_mask),
+            row_ratios.tolist(),
+        ):
+            if t0 != row.index(max(row)):
+                report("criterion-1", False, f"target is not the first argmax on {row!r}")
+            if negatives != brute_force_negatives(row):
+                report("criterion-1", False, f"negative sets diverge on {row!r}")
+            if positives != brute_force_positives(row, negatives, ratio):
+                report("criterion-1", False, f"positive sets diverge on {row!r}")
     elapsed = time.perf_counter() - started
     report(
         "criterion-1",
@@ -179,25 +191,27 @@ def test_criterion_3_gradient_suite():
             pos_mask[i, targets[i] - 1] = False
         mask_targets = np.where(labeled, case_rng.integers(0, 2, size=n).astype(float), np.nan)
 
-        def total(p):
-            probs, scores, cache = model.forward_batch(p, x)
+        def total(p, work=None):
+            probs, scores, hidden = model.forward_batch(p, x, work)
             arrays = BatchArrays(
                 probs=probs, mask_scores=scores, labeled=labeled, targets=targets,
                 neg_mask=neg_mask, pos_mask=pos_mask, mask_targets=mask_targets,
             )
             breakdown, gl, gm = batch_terms(arrays, alpha=0.7)
-            return breakdown.total, gl, gm, cache
+            return breakdown.total, gl, gm, hidden
 
-        value, gl, gm, cache = total(params)
-        base_pattern = cache.pre_hidden > 0.0
-        grads = model.backward_batch(cache, gl, gm)
+        work = model.Workspace(params, rows=n)
+        value, gl, gm, hidden = total(work.params, work)
+        # The ReLU pattern: hidden > 0 exactly where the pre-activation is.
+        base_pattern = hidden > 0.0
+        grads = model.backward_batch(work, x, gl, gm)
 
         def fd_or_none(fields_up, fields_dn):
             # Central differences are invalid across a relu kink; skip those.
-            v_up, _, _, c_up = total(model.ModelParams(**fields_up))
-            v_dn, _, _, c_dn = total(model.ModelParams(**fields_dn))
-            if not (np.array_equal(c_up.pre_hidden > 0.0, base_pattern)
-                    and np.array_equal(c_dn.pre_hidden > 0.0, base_pattern)):
+            v_up, _, _, h_up = total(model.ModelParams(**fields_up))
+            v_dn, _, _, h_dn = total(model.ModelParams(**fields_dn))
+            if not (np.array_equal(h_up > 0.0, base_pattern)
+                    and np.array_equal(h_dn > 0.0, base_pattern)):
                 return None
             return (v_up - v_dn) / 2e-5
 
@@ -240,35 +254,38 @@ def test_criterion_3_gradient_suite():
 # ---------------------------------------------------------------------------
 
 
+ABLATION = ("target-only", "target-negative", "hybrid")
+MATRIX_VARIANTS = [
+    ("objective", objective, {"objective": objective})
+    for objective in ABLATION + ("soft-pseudo", "complementary")
+] + [("lambda", lam, {"positive_confidence_ratio": lam}) for lam in LAMBDA_GRID if lam != 0.85]
+
+
 @pytest.fixture(scope="session")
 def matrix():
+    """mAP of every variant on every seed. Each seed's dataset is generated
+    once and pretrained once for all its variants, which neither reads."""
     config = ExperimentConfig()
     out = {"objective": {}, "lambda": {}, "results": {}}
-    started = time.perf_counter()
-    for objective in ("target-only", "target-negative", "hybrid"):
-        values = []
-        for seed in SEEDS:
-            result = run_experiment(config.replace(objective=objective, seed=seed))
-            values.append(result.evaluation.average_map)
-            if objective == "hybrid" and seed == 0:
+    ablation_runtime = 0.0  # each seed's dataset and pretrain, plus the ablation's runs
+    for seed in SEEDS:
+        started = time.perf_counter()
+        seed_config = config.replace(seed=seed)
+        bench = datagen.generate_benchmark(seed_config)
+        params = selftrain.pretrain(bench.labeled, seed_config)
+        ablation_runtime += time.perf_counter() - started
+        for kind, value, overrides in MATRIX_VARIANTS:
+            variant = seed_config.replace(**overrides)
+            assert selftrain.pretrain_key(variant) == selftrain.pretrain_key(seed_config)
+            started = time.perf_counter()
+            result = run_experiment(variant, benchmark=bench, params=params)
+            if value in ABLATION:
+                ablation_runtime += time.perf_counter() - started
+            out[kind].setdefault(value, []).append(result.evaluation.average_map)
+            if value == "hybrid" and seed == 0:
                 out["results"]["hybrid-seed0"] = result
-        out["objective"][objective] = values
-    out["ablation_runtime"] = time.perf_counter() - started
-    for objective in ("soft-pseudo", "complementary"):
-        values = []
-        for seed in SEEDS:
-            result = run_experiment(config.replace(objective=objective, seed=seed))
-            values.append(result.evaluation.average_map)
-        out["objective"][objective] = values
     out["lambda"][0.85] = out["objective"]["hybrid"]
-    for lam in LAMBDA_GRID:
-        if lam == 0.85:
-            continue
-        values = []
-        for seed in SEEDS:
-            result = run_experiment(config.replace(positive_confidence_ratio=lam, seed=seed))
-            values.append(result.evaluation.average_map)
-        out["lambda"][lam] = values
+    out["ablation_runtime"] = ablation_runtime
     return out
 
 

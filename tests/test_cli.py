@@ -67,6 +67,20 @@ def generate_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def pretrain_calls(monkeypatch):
+    """Seeds of every selftrain.pretrain call made from here on."""
+    calls = []
+    real = selftrain.pretrain
+
+    def counted(labeled_videos, config):
+        calls.append(config.seed)
+        return real(labeled_videos, config)
+
+    monkeypatch.setattr(selftrain, "pretrain", counted)
+    return calls
+
+
 class TestConfigParsing:
     def test_round_trip_types(self):
         values = parse_config_text(
@@ -403,21 +417,23 @@ class TestSweeps:
          [(o, {"objective": o}) for o in ("soft-pseudo", "complementary", "hybrid")]),
     ], ids=["ablate-losses", "ablate-lambda", "compare-baselines"])
     def test_sweep_shares_each_seeds_dataset(
-        self, tiny_config_file, tmp_path, generate_calls, command, filename, extra, variants
+        self, tiny_config_file, tmp_path, generate_calls, pretrain_calls,
+        command, filename, extra, variants,
     ):
         out = tmp_path / "sweep"
         assert main([command, "--config", tiny_config_file, "--out", str(out),
                      "--seeds", "2"] + extra) == 0
         assert generate_calls == [5, 6]  # one dataset per seed, not per (variant, seed)
+        assert pretrain_calls == [5, 6]  # and one pretrain
         config = load_config(tiny_config_file, {})
         manifest = (out / "manifest.txt").read_text().splitlines()
         assert "seeds = 5 6" in manifest
         assert_labeled_counts(out, config, seeds=[5, 6])
         # Stage wall times, one value per seed, in the manifest only.
         stages = [line.split(" = ") for line in manifest if line.startswith("stage_s_")]
-        assert [key for key, _ in stages] == ["stage_s_generate"] + [
+        assert [key for key, _ in stages] == ["stage_s_generate", "stage_s_pretrain"] + [
             f"stage_s_{label}_{name}" for label, _ in variants
-            for name in ("pretrain", "selftrain", "detect", "score")
+            for name in ("selftrain", "detect", "score")
         ]
         for _, values in stages:
             assert len(values.split()) == 2
@@ -433,6 +449,22 @@ class TestSweeps:
                 assert float(row[2]) == alone.evaluation.average_map
             mean_row = rows[3 * i + 2]
             assert float(mean_row[2]) == float(np.mean([float(row[2]) for row in seed_rows]))
+
+
+    def test_variant_that_changes_pretrain_gets_its_own(self, tiny_config_file, tmp_path,
+                                                        pretrain_calls):
+        config = load_config(tiny_config_file, {})
+        variants = [("a", {"objective": "target-only"}), ("b", {"batch_size": 16}),
+                    ("c", {"objective": "hybrid"})]
+        report = dict(cli._sweep(config, tmp_path, "sweep.csv", "variant", variants, seeds=2))
+        assert pretrain_calls == [5, 5, 6, 6]
+        assert len(report["stage_s_pretrain"]) == 2
+        rows = [row.split(",") for row in (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]]
+        for (label, overrides), seed_rows in zip(variants, (rows[0:2], rows[3:5], rows[6:8])):
+            for seed, row in zip((5, 6), seed_rows):
+                alone = run_experiment(config.replace(seed=seed, **overrides))
+                assert row[:2] == [label, str(seed)]
+                assert float(row[2]) == alone.evaluation.average_map
 
 
 class TestOutputRoot:

@@ -10,16 +10,17 @@ from pntal.model import (
     ModelParams,
     NonFiniteGradientError,
     ShapeMismatchError,
-    StaleCacheError,
+    Workspace,
     backward_batch,
     cosine_decay,
     forward_batch,
     init_params,
-    init_optimizer,
     load_params,
     save_params,
     step,
 )
+
+from oracles import reference_adam, reference_backward, reference_forward
 
 
 def zero_params(d=4, h=5, k=3):
@@ -31,6 +32,17 @@ def zero_params(d=4, h=5, k=3):
         mask_w=np.zeros(h),
         mask_b=0.0,
     )
+
+
+def gradients(params, x, grad_logits, grad_mask):
+    """backward_batch of one forward pass in a fresh workspace."""
+    work = Workspace(params, rows=len(x))
+    forward_batch(work.params, x, work)
+    return backward_batch(work, x, grad_logits, grad_mask)
+
+
+def as_dict(params):
+    return {name: np.array(getattr(params, name)) for name in model.PARAM_FIELDS}
 
 
 class TestForward:
@@ -71,8 +83,7 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream(self):
         params = init_params(4, 5, 3, seed=1)
-        _, _, cache = forward_batch(params, np.ones((1, 4)))
-        grads = backward_batch(cache, np.zeros((1, 3)), np.zeros(1))
+        grads = gradients(params, np.ones((1, 4)), np.zeros((1, 3)), np.zeros(1))
         for name in model.PARAM_FIELDS:
             assert np.all(np.asarray(getattr(grads, name)) == 0.0)
 
@@ -93,8 +104,7 @@ class TestBackward:
             logits = hidden @ p.class_w + p.class_b
             return float((logits * gl).sum() + (scores * gs).sum())
 
-        probs, scores, cache = forward_batch(params, x)
-        grads = backward_batch(cache, gl, gs)
+        grads = gradients(params, x, gl, gs)
         for name in model.PARAM_FIELDS:
             arr = getattr(params, name)
             g = getattr(grads, name)
@@ -126,76 +136,126 @@ class TestBackward:
         params = init_params(3, 4, 3, seed=4)
         x = np.array([0.2, -0.4, 0.9])
         gl = np.array([0.3, -0.1, 0.5])
-        _, _, cache1 = forward_batch(params, x[None, :])
-        single = backward_batch(cache1, gl[None, :], np.array([0.2]))
-        _, _, cache2 = forward_batch(params, np.stack([x, x]))
-        double = backward_batch(cache2, np.stack([gl, gl]), np.array([0.2, 0.2]))
+        single = gradients(params, x[None, :], gl[None, :], np.array([0.2]))
+        double = gradients(params, np.stack([x, x]), np.stack([gl, gl]), np.array([0.2, 0.2]))
         for name in model.PARAM_FIELDS:
             assert np.array_equal(
                 np.asarray(getattr(double, name)), 2.0 * np.asarray(getattr(single, name))
             )
 
-    def test_stale_cache_detected(self):
+    def test_upstream_shape_must_match_forward(self):
         params = init_params(3, 4, 3, seed=5)
-        _, _, cache = forward_batch(params, np.ones((1, 3)))
-        params.trunk_w.flags.writeable = True
-        params.trunk_w[0, 0] += 1.0  # in-place mutation invalidates the cache
-        with pytest.raises(StaleCacheError):
-            backward_batch(cache, np.zeros((1, 3)), np.zeros(1))
+        work = Workspace(params, rows=2)
+        x = np.ones((2, 3))
+        forward_batch(work.params, x, work)
+        with pytest.raises(ShapeMismatchError):
+            backward_batch(work, x[:1], np.zeros((1, 3)), np.zeros(1))
+
+
+class TestWorkspace:
+    def test_matches_reference_as_batches_shrink_and_grow(self):
+        """Forward, backward and update in the workspace against the
+        allocating reference formulas, bit for bit. A full batch, a partial
+        last batch, a 1-row batch, then a full batch again: a step that read
+        rows left over from a longer batch would differ."""
+        rng = np.random.default_rng(8)
+        d, h, k, rows = 6, 9, 4, 32
+        params = init_params(d, h, k, seed=8)
+        work = Workspace(params, rows=rows)
+        ref = as_dict(params)
+        ref["mask_b"] = params.mask_b
+        m = {name: np.zeros_like(value) for name, value in ref.items()}
+        v = {name: np.zeros_like(value) for name, value in ref.items()}
+        for t, n in enumerate((rows, 13, 1, rows), start=1):
+            x = rng.normal(size=(n, d))
+            gl = rng.normal(size=(n, k))
+            gs = rng.normal(size=n)
+            want_probs, want_scores, pre_hidden, hidden = reference_forward(ref, x)
+            features = work.features[:n]
+            features[...] = x
+            probs, scores, got_hidden = forward_batch(work.params, features, work)
+            assert np.array_equal(probs, want_probs)
+            assert np.array_equal(scores, want_scores)
+            assert np.array_equal(got_hidden, hidden)
+            want_grads = reference_backward(ref, x, pre_hidden, hidden, want_scores, gl, gs)
+            grads = backward_batch(work, features, gl, gs)
+            for name in model.PARAM_FIELDS:
+                assert np.array_equal(getattr(grads, name), want_grads[name]), (n, name)
+            ref, m, v = reference_adam(ref, want_grads, m, v, t, learning_rate=0.01)
+            step(work, learning_rate=0.01)
+            assert work.step_count == t
+            for name in model.PARAM_FIELDS:
+                assert np.array_equal(getattr(work.params, name), ref[name]), (n, name)
+                assert np.array_equal(getattr(work.params, name),
+                                      np.asarray(getattr(work.snapshot(), name)))
+
+    def test_copies_its_params(self):
+        params = init_params(3, 4, 3, seed=6)
+        before = as_dict(params)
+        work = Workspace(params, rows=1)
+        x = np.ones((1, 3))
+        forward_batch(work.params, x, work)
+        backward_batch(work, x, np.array([[1.0, -2.0, 0.5]]), np.array([0.3]))
+        step(work, learning_rate=0.1)
+        assert not np.array_equal(work.params.trunk_b, params.trunk_b)
+        for name, value in before.items():
+            assert np.array_equal(np.asarray(getattr(params, name)), value)
+
+    def test_batch_larger_than_buffers(self):
+        work = Workspace(init_params(3, 4, 3, seed=6), rows=2)
+        with pytest.raises(ShapeMismatchError):
+            forward_batch(work.params, np.ones((3, 3)), work)
 
 
 class TestStep:
     def test_zero_gradients_keep_params(self):
         params = init_params(3, 4, 3, seed=6)
-        state = init_optimizer(params)
-        grads = backward_batch(forward_batch(params, np.ones((1, 3)))[2], np.zeros((1, 3)), np.zeros(1))
-        new_params, new_state = step(params, grads, state, learning_rate=0.1)
+        work = Workspace(params, rows=1)
+        x = np.ones((1, 3))
+        forward_batch(work.params, x, work)
+        backward_batch(work, x, np.zeros((1, 3)), np.zeros(1))
+        step(work, learning_rate=0.1)
         for name in model.PARAM_FIELDS:
-            assert np.array_equal(np.asarray(getattr(new_params, name)),
+            assert np.array_equal(np.asarray(getattr(work.params, name)),
                                   np.asarray(getattr(params, name)))
-        assert new_state.step_count == 1
+        assert work.step_count == 1
 
     def test_zero_learning_rate(self):
         params = init_params(3, 4, 3, seed=7)
-        state = init_optimizer(params)
-        _, _, cache = forward_batch(params, np.ones((1, 3)))
-        grads = backward_batch(cache, np.array([[1.0, -2.0, 0.5]]), np.array([0.3]))
-        new_params, _ = step(params, grads, state, learning_rate=0.0)
+        work = Workspace(params, rows=1)
+        x = np.ones((1, 3))
+        forward_batch(work.params, x, work)
+        backward_batch(work, x, np.array([[1.0, -2.0, 0.5]]), np.array([0.3]))
+        step(work, learning_rate=0.0)
         for name in model.PARAM_FIELDS:
-            assert np.array_equal(np.asarray(getattr(new_params, name)),
+            assert np.array_equal(np.asarray(getattr(work.params, name)),
                                   np.asarray(getattr(params, name)))
 
     def test_hand_computed_trajectory(self):
         # Single scalar parameter emulated via mask_b; known gradient sequence.
-        params = zero_params()
-        state = init_optimizer(params)
+        work = Workspace(zero_params())
         grads_seq = [1.0, -0.5, 2.0]
         value = 0.0
         m = v = 0.0
         lr, b1, b2, eps = 0.1, model.ADAM_BETA1, model.ADAM_BETA2, model.ADAM_EPS
-        here = params
         for t, g in enumerate(grads_seq, start=1):
-            grads = model.ParamGrads(
-                trunk_w=np.zeros_like(params.trunk_w), trunk_b=np.zeros_like(params.trunk_b),
-                class_w=np.zeros_like(params.class_w), class_b=np.zeros_like(params.class_b),
-                mask_w=np.zeros_like(params.mask_w), mask_b=g,
-            )
-            here, state = step(here, grads, state, learning_rate=lr)
+            work.grad[:] = 0.0
+            work.grads.mask_b[()] = g
+            step(work, learning_rate=lr)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             value -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
-            assert here.mask_b == pytest.approx(value, abs=1e-15)
+            assert float(work.params.mask_b) == pytest.approx(value, abs=1e-15)
 
     def test_non_finite_gradient_rejected(self):
-        params = zero_params()
-        state = init_optimizer(params)
-        grads = model.ParamGrads(
-            trunk_w=np.full_like(params.trunk_w, np.nan), trunk_b=np.zeros_like(params.trunk_b),
-            class_w=np.zeros_like(params.class_w), class_b=np.zeros_like(params.class_b),
-            mask_w=np.zeros_like(params.mask_w), mask_b=0.0,
-        )
+        work = Workspace(zero_params())
+        work.grads.trunk_w[...] = np.nan
+        before = (work.theta.copy(), work.m.copy(), work.v.copy())
         with pytest.raises(NonFiniteGradientError):
-            step(params, grads, state, learning_rate=0.1)
+            step(work, learning_rate=0.1)
+        assert work.step_count == 0
+        for got, want in zip((work.theta, work.m, work.v), before):
+            assert np.array_equal(got, want)
 
 
 def test_cosine_decay_schedule():
@@ -246,11 +306,10 @@ def test_training_sanity_two_class():
     labels = rng.integers(1, 3, size=n)
     centers = np.array([[2.0, 0, 0, 0, 0, 0], [0, 2.0, 0, 0, 0, 0]])
     x = centers[labels - 1] + 0.2 * rng.normal(size=(n, d))
-    params = init_params(d, 16, 3, seed=13)
-    state = init_optimizer(params)
+    work = Workspace(init_params(d, 16, 3, seed=13), rows=64)
     for step_idx in range(200):
         rows = rng.integers(0, n, size=64)
-        probs, scores, cache = forward_batch(params, x[rows])
+        probs, scores, _ = forward_batch(work.params, x[rows], work)
         arrays = BatchArrays(
             probs=probs,
             mask_scores=scores,
@@ -261,8 +320,8 @@ def test_training_sanity_two_class():
             mask_targets=np.full(len(rows), np.nan),
         )
         _, gl, gm = batch_terms(arrays, alpha=0.0)
-        grads = backward_batch(cache, gl, gm)
-        params, state = step(params, grads, state, learning_rate=5e-3)
-    probs, _, _ = forward_batch(params, x)
+        backward_batch(work, x[rows], gl, gm)
+        step(work, learning_rate=5e-3)
+    probs, _, _ = forward_batch(work.snapshot(), x)
     accuracy = float((np.argmax(probs, axis=1) + 1 == labels).mean())
     assert accuracy >= 0.99

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -131,6 +132,32 @@ class TestPretrain:
         for name in model.PARAM_FIELDS:
             assert np.array_equal(np.asarray(getattr(a, name)), np.asarray(getattr(b, name)))
 
+    def test_reads_only_pretrain_fields(self):
+        """Changing any config field outside PRETRAIN_FIELDS, with the labeled
+        videos held fixed, leaves the pretrained params bit-identical: the
+        condition under which a sweep shares one pretrain among variants."""
+        cfg = small_config()
+        others = {
+            "snippets_per_video": 31, "train_video_count": 11, "test_video_count": 4,
+            "labeled_ratio": 0.5, "noise_sigma": 0.1, "class_separation": 0.5,
+            "ambiguous_ratio": 0.3, "distractor_ratio": 0.3, "positive_confidence_ratio": 0.6,
+            "unlabeled_loss_weight": 0.25, "sharpen_temperature": 2.0, "selftrain_epochs": 7,
+            "objective": "complementary", "soft_nms_sigma": 0.9, "soft_nms_floor": 0.3,
+            "tiou_grid": (0.5,), "classification_thresholds": (0.5,), "mask_thresholds": (0.5,),
+        }
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(others) == fields - set(selftrain.PRETRAIN_FIELDS)
+        bench = datagen.generate_benchmark(cfg)
+        want = pretrain(bench.labeled, cfg)
+        for name, value in others.items():
+            changed = cfg.replace(**{name: value})
+            assert getattr(changed, name) != getattr(cfg, name)
+            assert selftrain.pretrain_key(changed) == selftrain.pretrain_key(cfg)
+            got = pretrain(bench.labeled, changed)
+            for field in model.PARAM_FIELDS:
+                assert np.asarray(getattr(got, field)).tobytes() == \
+                    np.asarray(getattr(want, field)).tobytes(), (name, field)
+
     def test_separable_toy_reaches_high_accuracy(self):
         cfg = small_config(noise_sigma=0.05, ambiguous_ratio=0.0, distractor_ratio=0.0,
                            class_separation=1.0, pretrain_epochs=60, labeled_ratio=1.0,
@@ -228,6 +255,21 @@ class TestAssignPseudoLabels:
         expected = len(features) / (cfg.label_count - 1)
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < chi_square_upper_quantile(cfg.label_count - 2, 1e-6), counts
+
+    def test_pool_content_keys(self):
+        """The pool hashes its rows once; passing its keys gives the same draw."""
+        cfg = small_config(objective="complementary")
+        bench = datagen.generate_benchmark(cfg)
+        params = pretrain(bench.labeled, cfg)
+        pool = build_unlabeled_pool(bench.unlabeled, cfg)
+        keys = pool.content_keys
+        assert keys is pool.content_keys
+        assert keys.tolist() == [complement_key(row.tobytes()) for row in pool.features]
+        for epoch in (0, 4):
+            given = assign_annotation(params, pool.features, cfg, epoch=epoch, content_keys=keys)
+            hashed = assign_annotation(params, pool.features, cfg, epoch=epoch)
+            assert np.array_equal(given.neg_mask, hashed.neg_mask)
+            assert np.array_equal(given.targets, hashed.targets)
 
     def test_inputs_unchanged(self):
         cfg = small_config()
@@ -412,15 +454,20 @@ class TestSelfTrainLoop:
             )
 
     def test_deterministic(self):
+        """Two loops from one params object give bit-identical results and
+        leave its bytes as they were: a sweep starts several from one pretrain."""
         cfg = small_config()
         bench = datagen.generate_benchmark(cfg)
         params = pretrain(bench.labeled, cfg)
+        before = [np.asarray(getattr(params, name)).tobytes() for name in model.PARAM_FIELDS]
         sealed = sealed_label_map(bench, cfg)
         a, metrics_a = self_train_loop(params, bench.labeled, bench.unlabeled, cfg, sealed_labels=sealed)
         b, metrics_b = self_train_loop(params, bench.labeled, bench.unlabeled, cfg, sealed_labels=sealed)
         for name in model.PARAM_FIELDS:
-            assert np.array_equal(np.asarray(getattr(a, name)), np.asarray(getattr(b, name)))
+            assert np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
         assert [m.to_dict() for m in metrics_a] == [m.to_dict() for m in metrics_b]
+        assert [np.asarray(getattr(params, name)).tobytes() for name in model.PARAM_FIELDS] == before
+        assert not np.array_equal(a.trunk_w, params.trunk_w)
 
     def test_frozen_annotations_give_identical_loss(self):
         cfg = small_config()
