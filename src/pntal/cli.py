@@ -3,10 +3,10 @@
 Every run writes a manifest (config snapshot, seed, build id, wall time; for
 runs that build a dataset also each class's labeled instance count, one value
 per seed for sweeps; for scored runs also the detection count and per-class
-AP; for selftrain also each stage's wall time) plus metrics as structured text
-and plot-ready CSV. Metrics artifacts are byte-identical across reruns with
-the same seed; only the manifest carries wall-clock time. Exit codes: 0 ok,
-1 configuration error, 2 runtime error.
+AP; for every command but generate also each stage's wall time) plus metrics
+as structured text and plot-ready CSV. Metrics artifacts are byte-identical
+across reruns with the same seed; only the manifest carries wall-clock time.
+Exit codes: 0 ok, 1 configuration error, 2 runtime error.
 
 Config files are flat key = value text. Keys must be ExperimentConfig field
 names; unknown keys are rejected so misspelled hyper-parameters fail loudly.
@@ -212,18 +212,9 @@ def _stage(stage_s: Dict[str, float], name: str):
     stage_s[name] = stage_s.get(name, 0.0) + time.perf_counter() - started
 
 
-def _train(
-    config: ExperimentConfig,
-    benchmark: datagen.Benchmark,
-    params: Optional[model.ModelParams] = None,
-) -> Tuple[model.ModelParams, List[selftrain.EpochMetrics]]:
-    """Pretrain (unless params are given), then self-train."""
-    if params is None:
-        params = selftrain.pretrain(benchmark.labeled, config)
-    sealed = selftrain.sealed_label_map(benchmark, config)
-    return selftrain.self_train_loop(
-        params, benchmark.labeled, benchmark.unlabeled, config, sealed_labels=sealed
-    )
+def _stage_report(stage_s: Dict[str, float]) -> List[Tuple[str, object]]:
+    """Manifest lines: each stage's wall time, in run order."""
+    return [(f"stage_s_{name}", round(seconds, 6)) for name, seconds in stage_s.items()]
 
 
 def run_experiment(
@@ -240,7 +231,10 @@ def run_experiment(
         with _stage(stage_s, "pretrain"):
             params = selftrain.pretrain(benchmark.labeled, config)
     with _stage(stage_s, "selftrain"):
-        params, metrics = _train(config, benchmark, params)
+        sealed = selftrain.sealed_label_map(benchmark, config)
+        params, metrics = selftrain.self_train_loop(
+            params, benchmark.labeled, benchmark.unlabeled, config, sealed_labels=sealed
+        )
     with _stage(stage_s, "detect"):
         detections = localize.detect_videos(params, benchmark.test, config)
     with _stage(stage_s, "score"):
@@ -328,15 +322,18 @@ def _cmd_generate(config: ExperimentConfig, out: Path) -> List[Tuple[str, object
 
 
 def _cmd_pretrain(config: ExperimentConfig, out: Path) -> List[Tuple[str, object]]:
-    benchmark = datagen.generate_benchmark(config)
-    params = selftrain.pretrain(benchmark.labeled, config)
+    stage_s: Dict[str, float] = {}
+    with _stage(stage_s, "generate"):
+        benchmark = datagen.generate_benchmark(config)
+    with _stage(stage_s, "pretrain"):
+        params = selftrain.pretrain(benchmark.labeled, config)
     model.save_params(params, out / "checkpoint.txt")
     rows = [
         ["labeled_train_accuracy", selftrain.snippet_accuracy(params, benchmark.labeled, config)],
         ["test_accuracy", selftrain.snippet_accuracy(params, benchmark.test, config)],
     ]
     write_csv(out / "pretrain_metrics.csv", ("metric", "value"), rows)
-    return _labeled_report(_labeled_counts(benchmark, config.class_count))
+    return _labeled_report(_labeled_counts(benchmark, config.class_count)) + _stage_report(stage_s)
 
 
 def _cmd_selftrain(
@@ -354,7 +351,7 @@ def _cmd_selftrain(
     write_map_csv(out / "map.csv", result.evaluation)
     report = _labeled_report(_labeled_counts(benchmark, config.class_count))
     report += _evaluation_report(result.detections, result.evaluation)
-    return report + [(f"stage_s_{name}", round(seconds, 6)) for name, seconds in stage_s.items()]
+    return report + _stage_report(stage_s)
 
 
 def _cmd_evaluate(
@@ -367,16 +364,20 @@ def _cmd_evaluate(
         detections = localize.load_detections(detections_path)
     else:
         params = _load_checkpoint(params_path, config)
-    benchmark = datagen.generate_benchmark(config)
+    stage_s: Dict[str, float] = {}
+    with _stage(stage_s, "generate"):
+        benchmark = datagen.generate_benchmark(config)
     if params is not None:
-        detections = localize.detect_videos(params, benchmark.test, config)
+        with _stage(stage_s, "detect"):
+            detections = localize.detect_videos(params, benchmark.test, config)
         localize.write_detections(out / "detections.tsv", detections)
-    result = localize.mean_average_precision(
-        detections, localize.ground_truth_map(benchmark.test), config.tiou_grid
-    )
+    with _stage(stage_s, "score"):
+        result = localize.mean_average_precision(
+            detections, localize.ground_truth_map(benchmark.test), config.tiou_grid
+        )
     write_map_csv(out / "map.csv", result)
     report = _labeled_report(_labeled_counts(benchmark, config.class_count))
-    return report + _evaluation_report(detections, result)
+    return report + _evaluation_report(detections, result) + _stage_report(stage_s)
 
 
 def _cmd_subspace_audit(config: ExperimentConfig, out: Path) -> List[Tuple[str, object]]:
@@ -384,13 +385,21 @@ def _cmd_subspace_audit(config: ExperimentConfig, out: Path) -> List[Tuple[str, 
         raise losses.UnresolvedSupervisionError(
             f"objective {config.objective} assigns no label-space partition"
         )
-    benchmark = datagen.generate_benchmark(config)
-    params, _ = _train(config, benchmark)
+    stage_s: Dict[str, float] = {}
+    with _stage(stage_s, "generate"):
+        benchmark = datagen.generate_benchmark(config)
+    with _stage(stage_s, "pretrain"):
+        params = selftrain.pretrain(benchmark.labeled, config)
     sealed = selftrain.sealed_label_map(benchmark, config)
-    pool = selftrain.build_unlabeled_pool(benchmark.unlabeled, config, sealed)
-    if not pool.size:
-        raise selftrain.MissingGroundTruthError("no annotated snippets")
-    ann = selftrain.assign_annotation(params, pool.features, config)
+    with _stage(stage_s, "selftrain"):
+        params, _ = selftrain.self_train_loop(
+            params, benchmark.labeled, benchmark.unlabeled, config, sealed_labels=sealed
+        )
+    with _stage(stage_s, "annotate"):
+        pool = selftrain.build_unlabeled_pool(benchmark.unlabeled, config, sealed)
+        if not pool.size:
+            raise selftrain.MissingGroundTruthError("no annotated snippets")
+        ann = selftrain.assign_annotation(params, pool.features, config)
     stats = selftrain.subspace_statistics(ann, pool.true_labels)
     rows = [
         ["target", stats.target_rate],
@@ -403,7 +412,7 @@ def _cmd_subspace_audit(config: ExperimentConfig, out: Path) -> List[Tuple[str, 
         ["snippet_count", stats.snippet_count],
     ]
     write_csv(out / "subspace.csv", ("subspace", "ground_truth_rate"), rows)
-    return _labeled_report(_labeled_counts(benchmark, config.class_count))
+    return _labeled_report(_labeled_counts(benchmark, config.class_count)) + _stage_report(stage_s)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +477,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Each sweep command's CSV file name and label column.
+_SWEEPS = {
+    "ablate-losses": ("loss_ablation.csv", "objective"),
+    "ablate-lambda": ("lambda_sweep.csv", "lambda"),
+    "compare-baselines": ("baselines.csv", "objective"),
+}
+
+
+def _sweep_variants(args) -> List[Tuple[str, Dict[str, object]]]:
+    """The (label, overrides) variants of a sweep command. --grid values that
+    share a label would share CSV rows and manifest keys, so they are refused."""
+    if args.command == "ablate-losses":
+        return [(o, {"objective": o}) for o in ("target-only", "target-negative", "hybrid")]
+    if args.command == "compare-baselines":
+        return [(o, {"objective": o}) for o in ("soft-pseudo", "complementary", "hybrid")]
+    labels = [f"{lam:g}" for lam in args.grid]
+    if len(set(labels)) < len(labels):
+        raise _UsageError(f"argument --grid: duplicate values in {' '.join(labels)}")
+    return [
+        (label, {"positive_confidence_ratio": lam, "objective": "hybrid"})
+        for label, lam in zip(labels, args.grid)
+    ]
+
+
 def _out_dir(args) -> Path:
     if args.out:
         out = Path(args.out)
@@ -489,6 +522,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "objective": args.objective,
         }
         config = load_config(args.config, overrides)
+        if args.command in _SWEEPS:
+            variants = _sweep_variants(args)
+            for _, values in variants:
+                config.replace(**values)  # a bad variant is refused before any output
         out = _out_dir(args)
         started = time.perf_counter()
         if args.command == "generate":
@@ -499,18 +536,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = _cmd_selftrain(config, out, args.params)
         elif args.command == "evaluate":
             report = _cmd_evaluate(config, out, args.params, args.detections)
-        elif args.command == "ablate-losses":
-            variants = [(o, {"objective": o}) for o in ("target-only", "target-negative", "hybrid")]
-            report = _sweep(config, out, "loss_ablation.csv", "objective", variants, args.seeds)
-        elif args.command == "ablate-lambda":
-            variants = [
-                (f"{lam:g}", {"positive_confidence_ratio": float(lam), "objective": "hybrid"})
-                for lam in args.grid
-            ]
-            report = _sweep(config, out, "lambda_sweep.csv", "lambda", variants, args.seeds)
-        elif args.command == "compare-baselines":
-            variants = [(o, {"objective": o}) for o in ("soft-pseudo", "complementary", "hybrid")]
-            report = _sweep(config, out, "baselines.csv", "objective", variants, args.seeds)
+        elif args.command in _SWEEPS:
+            report = _sweep(config, out, *_SWEEPS[args.command], variants, args.seeds)
         elif args.command == "subspace-audit":
             report = _cmd_subspace_audit(config, out)
         write_manifest(out, config, args.command, time.perf_counter() - started, report)

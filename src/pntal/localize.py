@@ -52,8 +52,8 @@ class Detection:
     score: float
 
     def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError(f"detection start {self.start} > end {self.end}")
+        if not 0 <= self.start <= self.end:
+            raise ValueError(f"detection span {self.start}..{self.end} needs 0 <= start <= end")
         if self.class_idx < 1:
             raise ValueError("class_idx must be a 1-based action class")
 

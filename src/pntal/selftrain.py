@@ -18,23 +18,18 @@ Ground-truth snippets always receive target CE and the mask loss; they add
 negative loss over all non-target classes under hybrid and target-negative.
 
 The complementary draw (one non-target class per snippet per epoch, as in
-NLNL) is keyed by content, so it does not depend on row order. For a row
-with target t among K labels:
-  key  = blake2b (8-byte digest) of the row's float64 bytes, little-endian
-  rng  = default_rng(SeedSequence([seed, 0xD44, epoch, key]))   # PCG64
-  pick = rng.integers(1, K), the first draw; pick + 1 if pick >= t
-assign_annotation computes this for every row at once in uint32/uint64
-arithmetic: SeedSequence's entropy mix, PCG64 seeding, its XSL-RR output and
-the Lemire bounded draw, including its rare rejections. It reproduces numpy's
-per-row result bit for bit; tests/test_selftrain.py::TestComplementDraw
-checks it against numpy's own generator.
+NLNL) is a hash of the row's content, so it does not depend on row order. For
+a row with target t among K labels, in wrapping uint64 arithmetic:
+  salt = SeedSequence([seed, 0xD44, epoch]).generate_state(1, uint64)[0]
+  h    = salt; h = mix64(h ^ w) for each uint64 word w of the row's float64
+         bytes (little-endian), in order; mix64 is splitmix64's finalizer
+  pick = 1 + h % (K - 1); pick + 1 if pick >= t
+assign_annotation computes this for every row at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -114,11 +109,6 @@ class UnlabeledPool:
     @property
     def size(self) -> int:
         return len(self.video_index)
-
-    @functools.cached_property
-    def content_keys(self) -> np.ndarray:
-        """Each row's complementary-draw key, hashed once per pool."""
-        return _content_keys(self.features)
 
 
 @dataclass(eq=False)
@@ -203,166 +193,32 @@ def sharpen_rows(probs: np.ndarray, temperature: float) -> np.ndarray:
     return out / out.sum(axis=1, keepdims=True)
 
 
-# numpy's SeedSequence hash constants (pool of four uint32 words) and the
-# PCG64 128-bit LCG multiplier; the complementary draw reproduces both.
-_MASK32 = 0xFFFFFFFF
-_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
-_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _content_keys(features: np.ndarray) -> np.ndarray:
-    """blake2b-8 digest of each row's float64 bytes, read as a little-endian uint64."""
-    rows = np.ascontiguousarray(features)
-    digests = b"".join(hashlib.blake2b(row, digest_size=8).digest() for row in rows)
-    return np.frombuffer(digests, dtype="<u8").astype(np.uint64)
-
-
-def _uint32_words(value: int) -> List[int]:
-    """SeedSequence's split of a non-negative int into uint32 words, low word first."""
-    return [(value >> (32 * i)) & _MASK32 for i in range(max(1, (value.bit_length() + 31) // 32))]
-
-
-def _seed_sequence_state(entropy: List[np.ndarray]) -> List[np.ndarray]:
-    """SeedSequence(entropy).generate_state(4, np.uint64), one row per array element.
-
-    entropy: the entropy's uint32 words, at least four, each an (n,) array.
-    """
-    hash_const = _SS_INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _SS_MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_const = _SS_INIT_B
-    state = []
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _SS_MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    return [state[2 * i] | (state[2 * i + 1] << np.uint64(32)) for i in range(4)]
-
-
-def _mul_hi64(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of a * b (uint64 array times constant) from 32-bit partial products."""
-    a0, a1 = a & np.uint64(_MASK32), a >> np.uint64(32)
-    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> np.uint64(32)) + (p01 & np.uint64(_MASK32)) + (p10 & np.uint64(_MASK32))
-    return a1 * b1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
-
-
-def _add128(a_hi, a_lo, b_hi, b_lo):
-    lo = a_lo + b_lo
-    return a_hi + b_hi + (lo < b_lo).astype(np.uint64), lo
-
-
-def _pcg64_step(hi, lo, inc_hi, inc_lo):
-    """state * MULT + inc mod 2^128, on (hi, lo) uint64 halves."""
-    m_hi, m_lo = _PCG_MULT >> 64, _PCG_MULT & 0xFFFFFFFFFFFFFFFF
-    prod_hi = _mul_hi64(lo, m_lo) + lo * np.uint64(m_hi) + hi * np.uint64(m_lo)
-    return _add128(prod_hi, lo * np.uint64(m_lo), inc_hi, inc_lo)
-
-
-def _pcg64_output(hi, lo):
-    """XSL-RR: (hi ^ lo) rotated right by the state's top six bits."""
-    x = hi ^ lo
-    rot = hi >> np.uint64(58)
-    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-
-
-def _pcg64_seed(words: List[np.ndarray]):
-    """PCG64 seeded from generate_state's four words: (state_hi, state_lo, inc_hi, inc_lo)."""
-    init_hi, init_lo, seq_hi, seq_lo = words
-    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
-    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
-    hi, lo = _add128(inc_hi, inc_lo, init_hi, init_lo)  # one step from state 0 gives inc
-    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-    return hi, lo, inc_hi, inc_lo
-
-
-def _pcg64_bounded(hi, lo, inc_hi, inc_lo, bound: int) -> np.ndarray:
-    """Generator.integers(0, bound) from PCG64 states with no buffered half word.
-
-    Lemire's bounded draw on uint32 words, for bound <= 2^32 - 1.
-
-    The words are each output's low half, then its high half, then the next
-    step's output; a rejected row reads the next word of its own stream.
-    """
-    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
-    out = _pcg64_output(hi, lo)
-    m = (out & np.uint64(_MASK32)) * np.uint64(bound)
-    threshold = np.uint64((2**32 - bound) % bound)
-    pending = np.flatnonzero((m & np.uint64(_MASK32)) < threshold)
-    high_half = True
-    while pending.size:
-        if high_half:
-            word = out[pending] >> np.uint64(32)
-        else:
-            hi[pending], lo[pending] = _pcg64_step(
-                hi[pending], lo[pending], inc_hi[pending], inc_lo[pending]
-            )
-            out[pending] = _pcg64_output(hi[pending], lo[pending])
-            word = out[pending] & np.uint64(_MASK32)
-        high_half = not high_half
-        m[pending] = word * np.uint64(bound)
-        pending = pending[(m[pending] & np.uint64(_MASK32)) < threshold]
-    return (m >> np.uint64(32)).astype(np.int64)
+# splitmix64's finalizer multipliers (Steele, Lea and Flood, OOPSLA 2014).
+_MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
 def _complement_picks(
-    keys: np.ndarray, seed: int, epoch: int, label_count: int, targets: np.ndarray
+    features: np.ndarray, seed: int, epoch: int, label_count: int, targets: np.ndarray
 ) -> np.ndarray:
-    """The complementary draw (module docstring) of every row at once.
-
-    SeedSequence splits a key below 2^32 into one entropy word, not two, so
-    those rows are mixed as their own group.
-    """
-    prefix = _uint32_words(seed) + _uint32_words(_STREAM_COMPLEMENT) + _uint32_words(epoch)
-    low = (keys & np.uint64(_MASK32)).astype(np.uint32)
-    high = (keys >> np.uint64(32)).astype(np.uint32)
-    words = [np.empty(len(keys), dtype=np.uint64) for _ in range(4)]
-    short = keys <= np.uint64(_MASK32)
-    for rows, key_words in ((short, [low]), (~short, [low, high])):
-        count = int(rows.sum())
-        if count:
-            entropy = [np.full(count, w, dtype=np.uint32) for w in prefix] + [k[rows] for k in key_words]
-            for full, part in zip(words, _seed_sequence_state(entropy)):
-                full[rows] = part
-    picks = 1 + _pcg64_bounded(*_pcg64_seed(words), label_count - 1)
+    """The complementary draw (module docstring) of every row at once."""
+    salt = np.random.SeedSequence([seed, _STREAM_COMPLEMENT, epoch]).generate_state(1, np.uint64)[0]
+    words = np.ascontiguousarray(features, dtype="<f8").view("<u8")
+    h = np.full(len(words), salt, dtype=np.uint64)
+    for word in words.T:  # h = mix64(h ^ word), in place; the products wrap mod 2^64
+        h ^= word
+        h ^= h >> np.uint64(30)
+        h *= _MIX_A
+        h ^= h >> np.uint64(27)
+        h *= _MIX_B
+        h ^= h >> np.uint64(31)
+    picks = 1 + (h % np.uint64(label_count - 1)).astype(np.int64)
     return picks + (picks >= targets)
 
 
 def assign_annotation(
-    params: model.ModelParams,
-    features: np.ndarray,
-    config: ExperimentConfig,
-    epoch: int = 0,
-    content_keys: Optional[np.ndarray] = None,
+    params: model.ModelParams, features: np.ndarray, config: ExperimentConfig, epoch: int = 0
 ) -> PseudoAnnotation:
-    """Pseudo supervision arrays for a feature matrix under the active objective.
-
-    content_keys are the rows' keys for the complementary draw
-    (UnlabeledPool.content_keys); they are hashed here when not given.
-    """
+    """Pseudo supervision arrays for a feature matrix under the active objective."""
     if features.shape[0] == 0:
         k = config.label_count
         return PseudoAnnotation(
@@ -395,9 +251,7 @@ def assign_annotation(
     elif objective == "complementary":
         neg_mask = np.zeros_like(neg_mask)
         pos_mask = np.zeros_like(pos_mask)
-        if content_keys is None:
-            content_keys = _content_keys(features)
-        picks = _complement_picks(content_keys, config.seed, epoch, config.label_count, targets)
+        picks = _complement_picks(features, config.seed, epoch, config.label_count, targets)
         neg_mask[np.arange(len(picks)), picks - 1] = True
     else:  # pragma: no cover - config validation rejects unknown objectives
         raise ValueError(f"unknown objective {objective!r}")
@@ -617,7 +471,6 @@ def self_train_loop(
     labeled_pool = build_labeled_pool(labeled_videos, config)
     unlabeled_pool = build_unlabeled_pool(unlabeled_videos, config, sealed_labels)
     labeled_negative = config.objective in ("hybrid", "target-negative")
-    keys = unlabeled_pool.content_keys if config.objective == "complementary" else None
     work = model.Workspace(params)
     metrics: List[EpochMetrics] = []
 
@@ -625,8 +478,7 @@ def self_train_loop(
         lr = model.cosine_decay(config.learning_rate, epoch, config.selftrain_epochs)
         # The annotation pass runs with no batch buffers held, so they do not
         # add to its peak memory.
-        ann = assign_annotation(work.params, unlabeled_pool.features, config, epoch=epoch,
-                                content_keys=keys)
+        ann = assign_annotation(work.params, unlabeled_pool.features, config, epoch=epoch)
 
         pseudo_accuracy = float("nan")
         subspace = None

@@ -4,8 +4,8 @@ Everything here is written as plainly as possible (python loops, direct
 definitions) and must stay independent of the library code paths it checks.
 """
 
-import hashlib
 import math
+import struct
 
 import numpy as np
 
@@ -191,17 +191,22 @@ def softmax_list(logits):
     return [e / total for e in exps]
 
 
-def complement_key(feature_bytes):
-    """The complementary draw's content key: blake2b-8 of the row bytes, little-endian."""
-    return int.from_bytes(hashlib.blake2b(feature_bytes, digest_size=8).digest(), "little")
+def splitmix64_finalizer(h):
+    """splitmix64's output mix of a 64-bit integer, in Python ints mod 2**64."""
+    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) % 2**64
+    return h ^ (h >> 31)
 
 
-def reference_complement_choice(key, seed, epoch, label_count, target):
-    """One row's complementary class through numpy's own generator: the first
-    integers(1, K) of SeedSequence([seed, 0xD44, epoch, key]), shifted past
-    the target."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD44, epoch, key]))
-    pick = int(rng.integers(1, label_count))
+def reference_complement_pick(row, seed, epoch, label_count, target):
+    """One row's complementary class: starting from the salt, fold each
+    little-endian 64-bit word of the row's float64 bytes in with h =
+    splitmix64(h ^ word); pick 1 + h % (K - 1), shifted past the target."""
+    h = int(np.random.SeedSequence([seed, 0xD44, epoch]).generate_state(1, np.uint64)[0])
+    data = struct.pack(f"<{len(row)}d", *row)
+    for i in range(0, len(data), 8):
+        h = splitmix64_finalizer(h ^ int.from_bytes(data[i : i + 8], "little"))
+    pick = 1 + h % (label_count - 1)
     return pick if pick < target else pick + 1
 
 

@@ -157,6 +157,8 @@ class TestExitCodes:
             ["generate", "--config", str(narrow)],
             ["generate", "--seed", "-1"],
             ["selftrain", "--seed", "-1"],
+            ["ablate-lambda", "--grid", "0.8", "1.5"],
+            ["ablate-lambda", "--grid", "0.8", "0.8"],
         )):
             out = tmp_path / f"o{i}"
             assert main(command + ["--out", str(out)]) == 1
@@ -278,10 +280,21 @@ class TestSelftrainCommand:
         st_out = tmp_path / "st"
         assert main(["selftrain", "--config", tiny_config_file,
                      "--params", str(pre_out / "checkpoint.txt"), "--out", str(st_out)]) == 0
-        # Only the stages that ran, in run order: no pretraining under --params.
+        eval_out, dump_out, audit_out = tmp_path / "ev", tmp_path / "dump", tmp_path / "audit"
+        assert main(["evaluate", "--config", tiny_config_file,
+                     "--params", str(st_out / "checkpoint.txt"), "--out", str(eval_out)]) == 0
+        assert main(["evaluate", "--config", tiny_config_file,
+                     "--detections", str(st_out / "detections.tsv"), "--out", str(dump_out)]) == 0
+        assert main(["subspace-audit", "--config", tiny_config_file, "--out", str(audit_out)]) == 0
+        # Only the stages that ran, in run order: no pretraining under --params
+        # and no detection under --detections.
         for out, stages in (
+            (pre_out, ["generate", "pretrain"]),
             (plain_out, ["generate", "pretrain", "selftrain", "detect", "score"]),
             (st_out, ["generate", "selftrain", "detect", "score"]),
+            (eval_out, ["generate", "detect", "score"]),
+            (dump_out, ["generate", "score"]),
+            (audit_out, ["generate", "pretrain", "selftrain", "annotate"]),
         ):
             lines = [line.split(" = ") for line in (out / "manifest.txt").read_text().splitlines()
                      if line.startswith("stage_s_")]

@@ -321,7 +321,8 @@ def test_map_over_many_videos_matches_brute_force():
 def test_load_detections_rejects_malformed_lines(tmp_path):
     good = "v\t0\t4\t1\t0.5\n"
     for bad in ("v\t0\t4\t1\n", "v\t5\t4\t1\t0.5\n", "v\t0\t4\t0\t0.5\n",
-                "v\tzero\t4\t1\t0.5\n", "v\t0\t4\t1\tnan\n", "v\t0\t4\t1\t-inf\n"):
+                "v\tzero\t4\t1\t0.5\n", "v\t0\t4\t1\tnan\n", "v\t0\t4\t1\t-inf\n",
+                "v\t-3\t5\t1\t0.5\n"):
         path = tmp_path / "dets.tsv"
         path.write_text(good + "\n" + bad)
         with pytest.raises(MalformedDetectionError, match=f"{path}:3: "):

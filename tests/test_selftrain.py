@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import random
 
 import numpy as np
 import pytest
@@ -26,8 +25,7 @@ from pntal.selftrain import (
 from oracles import (
     brute_force_negatives,
     brute_force_positives,
-    complement_key,
-    reference_complement_choice,
+    reference_complement_pick,
 )
 
 
@@ -221,8 +219,8 @@ class TestAssignPseudoLabels:
         for i in range(video.snippet_count):
             target, negatives, positives = row_partition(ann, i)
             assert target == 1 and positives == set()
-            key = complement_key(video.features[i].tobytes())
-            assert negatives == {reference_complement_choice(key, cfg.seed, 0, cfg.label_count, 1)}
+            pick = reference_complement_pick(video.features[i], cfg.seed, 0, cfg.label_count, 1)
+            assert negatives == {pick}
 
         cfg = small_config(sharpen_temperature=1.0, objective="soft-pseudo")
         ann = annotate(params, video, cfg)
@@ -256,21 +254,6 @@ class TestAssignPseudoLabels:
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < chi_square_upper_quantile(cfg.label_count - 2, 1e-6), counts
 
-    def test_pool_content_keys(self):
-        """The pool hashes its rows once; passing its keys gives the same draw."""
-        cfg = small_config(objective="complementary")
-        bench = datagen.generate_benchmark(cfg)
-        params = pretrain(bench.labeled, cfg)
-        pool = build_unlabeled_pool(bench.unlabeled, cfg)
-        keys = pool.content_keys
-        assert keys is pool.content_keys
-        assert keys.tolist() == [complement_key(row.tobytes()) for row in pool.features]
-        for epoch in (0, 4):
-            given = assign_annotation(params, pool.features, cfg, epoch=epoch, content_keys=keys)
-            hashed = assign_annotation(params, pool.features, cfg, epoch=epoch)
-            assert np.array_equal(given.neg_mask, hashed.neg_mask)
-            assert np.array_equal(given.targets, hashed.targets)
-
     def test_inputs_unchanged(self):
         cfg = small_config()
         bench = datagen.generate_benchmark(cfg)
@@ -294,75 +277,48 @@ class TestAssignPseudoLabels:
                 assert ann.targets[i] == int(np.argmax(sharpened[i])) + 1
 
 
-class TestComplementDraw:
-    """The array draw against numpy's per-row generator, which it reproduces
-    bit for bit: any drift in the SeedSequence mix, the PCG64 step or output,
-    or the bounded integers draw shows as a mismatch. Run on numpy 2.4.6; the
-    package allows numpy >= 1.24."""
+class TestComplementPicks:
+    """The array draw against the per-row Python-integer rule, bit for bit."""
 
-    PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-    @pytest.mark.parametrize("seed, epoch", [(0, 0), (1003, 7), (2**40 + 5, 3), (7, 2**33)])
-    def test_matches_numpy_per_row(self, seed, epoch):
-        rng = np.random.default_rng([seed, epoch])
-        keys = rng.integers(0, 2**64, size=20_000, dtype=np.uint64)
-        keys[:6] = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-        keys[6:300] = rng.integers(0, 2**32, size=294, dtype=np.uint64)  # one entropy word
-        # label count 3 * 2^30 + 1: Lemire's draw rejects a quarter of the words
-        for label_count, n in ((2, 20_000), (3, 20_000), (11, 20_000), (51, 20_000), (3 * 2**30 + 1, 2_000)):
-            targets = rng.integers(1, label_count + 1, size=n)
-            got = selftrain._complement_picks(keys[:n], seed, epoch, label_count, targets)
-            want = [reference_complement_choice(int(k), seed, epoch, label_count, int(t))
-                    for k, t in zip(keys[:n], targets)]
-            assert got.tolist() == want, label_count
-
-    def test_content_keys(self):
-        features = np.random.default_rng(4).normal(size=(50, 7))
-        keys = selftrain._content_keys(features[:, 1:])  # non-contiguous rows
-        assert keys.tolist() == [complement_key(row.tobytes()) for row in features[:, 1:]]
-
-    @pytest.mark.parametrize("label_count", [11, 51])
-    def test_lemire_rejection_continues_the_stream(self, label_count):
-        """Fresh PCG64 states whose first output's low word is rejected: the
-        draw reads the high word, then steps once more when that is rejected too."""
-        bound = label_count - 1
-        threshold = 2**32 % bound
-        rejected = [w for w in (-(-j * 2**32 // bound) for j in range(bound))
-                    if (w * bound) % 2**32 < threshold]
-        accepted = 12345
-        assert rejected and (accepted * bound) % 2**32 >= threshold
-        rand = random.Random(label_count)
-        mask64 = 2**64 - 1
-        mult_inv = pow(self.PCG_MULT, -1, 2**128)
-        states, incs, want = [], [], []
-        for low in rejected:
-            for high in (accepted, rand.choice(rejected)):
-                inc = rand.getrandbits(128) | 1
-                state_hi = rand.getrandbits(64)
-                out = (high << 32) | low
-                rot = state_hi >> 58
-                x = ((out << rot) | (out >> (64 - rot))) & mask64  # XSL-RR inverted
-                stepped = (state_hi << 64) | (x ^ state_hi)
-                state = (stepped - inc) * mult_inv % 2**128
-                bit_gen = np.random.PCG64()
-                bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                 "has_uint32": 0, "uinteger": 0}
-                pick = int(np.random.Generator(bit_gen).integers(1, label_count))
-                after = bit_gen.state["state"]["state"]
-                if high == accepted:  # numpy read exactly the constructed output's two words
-                    assert pick == 1 + (high * bound >> 32) and after == stepped
-                else:
-                    assert after == (stepped * self.PCG_MULT + inc) % 2**128
-                states.append(state)
-                incs.append(inc)
-                want.append(pick)
-
-        def halves(values):
-            return (np.array([v >> 64 for v in values], dtype=np.uint64),
-                    np.array([v & mask64 for v in values], dtype=np.uint64))
-
-        got = selftrain._pcg64_bounded(*halves(states), *halves(incs), bound) + 1
+    @staticmethod
+    def assert_matches_reference(features, seed, epoch, label_count, targets):
+        got = selftrain._complement_picks(features, seed, epoch, label_count, targets)
+        want = [reference_complement_pick(row, seed, epoch, label_count, int(t))
+                for row, t in zip(features, targets)]
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("seed, epoch", [(0, 0), (1003, 7), (2**70 + 3, 2**33)])
+    @pytest.mark.parametrize("label_count", [2, 3, 11])
+    def test_random_rows(self, seed, epoch, label_count):
+        rng = np.random.default_rng([seed % 2**32, label_count])
+        features = rng.normal(size=(600, 8))
+        features[:5, 0] = [0.0, -0.0, 1e-310, -np.finfo(float).max, np.finfo(float).max]
+        targets = rng.integers(1, label_count + 1, size=len(features))
+        self.assert_matches_reference(features, seed, epoch, label_count, targets)
+
+    def test_signed_zeros(self):
+        """0.0 and -0.0 have different bytes, so they are different content."""
+        features = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0]] * 50)
+        features[:, 1] *= np.repeat(np.arange(1, 51), 4)
+        targets = np.ones(len(features), dtype=np.int64)
+        self.assert_matches_reference(features, 5, 1, 7, targets)
+        picks = selftrain._complement_picks(features, 5, 1, 7, targets).reshape(50, 4)
+        assert (picks != picks[:, :1]).any()
+
+    def test_non_contiguous_rows(self):
+        features = np.random.default_rng(4).normal(size=(300, 7))
+        targets = np.random.default_rng(5).integers(1, 12, size=300)
+        for view in (features[:, 1:], features[::2, ::3]):
+            assert not view.flags.c_contiguous
+            self.assert_matches_reference(view, 9, 2, 11, targets[: len(view)])
+
+    def test_windowed_rows(self):
+        cfg = small_config(feature_window=1)
+        video = unlabeled_video("u", 40, cfg.feature_dim, np.random.default_rng(6))
+        features = video_feature_matrix(video, cfg.feature_window)
+        assert features.shape[1] == cfg.model_input_dim == 3 * cfg.feature_dim
+        targets = np.random.default_rng(7).integers(1, cfg.label_count + 1, size=len(features))
+        self.assert_matches_reference(features, cfg.seed, 4, cfg.label_count, targets)
 
 
 class TestSubspaceStatistics:
