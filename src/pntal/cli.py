@@ -101,7 +101,11 @@ def load_config(path: Optional[str], overrides: Dict[str, object]) -> Experiment
         p = Path(path)
         if not p.is_file():
             raise MissingArtifactError(p, "config file")
-        values.update(parse_config_text(p.read_text(encoding="utf-8")))
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise BadConfigError(str(p), f"not UTF-8 text (byte {exc.start})") from None
+        values.update(parse_config_text(text))
     values.update({k: v for k, v in overrides.items() if v is not None})
     return ExperimentConfig(**values)
 
@@ -156,7 +160,7 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> No
 def write_metrics_jsonl(path: Path, metrics: Sequence[selftrain.EpochMetrics]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for m in metrics:
-            fh.write(json.dumps(m.to_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(m.to_dict(), sort_keys=True, allow_nan=False) + "\n")
 
 
 def _labeled_counts(benchmark: datagen.Benchmark, class_count: int) -> List[int]:
@@ -231,9 +235,8 @@ def run_experiment(
         with _stage(stage_s, "pretrain"):
             params = selftrain.pretrain(benchmark.labeled, config)
     with _stage(stage_s, "selftrain"):
-        sealed = selftrain.sealed_label_map(benchmark, config)
         params, metrics = selftrain.self_train_loop(
-            params, benchmark.labeled, benchmark.unlabeled, config, sealed_labels=sealed
+            params, benchmark.labeled, benchmark.unlabeled, config, sealed=benchmark.sealed
         )
     with _stage(stage_s, "detect"):
         detections = localize.detect_videos(params, benchmark.test, config)
@@ -390,17 +393,16 @@ def _cmd_subspace_audit(config: ExperimentConfig, out: Path) -> List[Tuple[str, 
         benchmark = datagen.generate_benchmark(config)
     with _stage(stage_s, "pretrain"):
         params = selftrain.pretrain(benchmark.labeled, config)
-    sealed = selftrain.sealed_label_map(benchmark, config)
     with _stage(stage_s, "selftrain"):
         params, _ = selftrain.self_train_loop(
-            params, benchmark.labeled, benchmark.unlabeled, config, sealed_labels=sealed
+            params, benchmark.labeled, benchmark.unlabeled, config, sealed=benchmark.sealed
         )
     with _stage(stage_s, "annotate"):
-        pool = selftrain.build_unlabeled_pool(benchmark.unlabeled, config, sealed)
+        pool = selftrain.build_unlabeled_pool(benchmark.unlabeled, config, benchmark.sealed)
         if not pool.size:
             raise selftrain.MissingGroundTruthError("no annotated snippets")
         ann = selftrain.assign_annotation(params, pool.features, config)
-    stats = selftrain.subspace_statistics(ann, pool.true_labels)
+    stats = selftrain.subspace_statistics(ann, pool.labels)
     rows = [
         ["target", stats.target_rate],
         ["positive", stats.positive_rate],

@@ -2,7 +2,9 @@
 
 Per row, ``batch_terms`` takes -log p_t (or -sum q_c log p_c against a soft
 label), -sum log(1 - p_c) over the negatives and -sum log p_c over the
-positives; ``mask_loss`` is the mask head's mean binary cross-entropy.
+positives; ``mask_loss`` is the mask head's mean binary cross-entropy. The
+target and positive terms are one cross-entropy kernel, -sum_c w_c log p_c,
+with w a one-hot row, the soft label, or the positive mask.
 Every loss clamps probabilities at 1e-12 before taking logs, so values stay
 finite at degenerate predictions. Each operation returns the loss together
 with its analytic gradient with respect to the classification logits (or the
@@ -82,6 +84,15 @@ class BatchArrays:
     soft: Optional[np.ndarray] = None
 
 
+def _cross_entropy(p, log_p, w):
+    """Each row's -sum_c w_c log p_c and its gradient w.r.t. the row's logits.
+
+    log_p is log(max(p, CLAMP)); weight on a clamped entry adds no gradient.
+    """
+    w_active = np.where(p > CLAMP, w, 0.0)
+    return -(w * log_p).sum(axis=1), w_active.sum(axis=1, keepdims=True) * p - w_active
+
+
 def batch_terms(arrays: BatchArrays, alpha: float):
     """Loss breakdown plus gradients w.r.t. logits and mask scores.
 
@@ -90,35 +101,19 @@ def batch_terms(arrays: BatchArrays, alpha: float):
     exactly the gradients of breakdown.total.
     """
     p = arrays.probs
-    n, k = p.shape
+    n = len(p)
     labeled = arrays.labeled
     n_lab = int(labeled.sum())
     n_uns = n - n_lab
-    rows = np.arange(n)
+    log_p = np.log(np.maximum(p, CLAMP))
 
-    tgt_rows = np.zeros(n)
-    grad = np.zeros_like(p)
-    soft_rows = np.zeros(n, dtype=bool)
+    # Target term: cross-entropy against a one-hot row, or the soft row.
+    target_w = np.zeros_like(p)
+    target_w[np.arange(n), arrays.targets - 1] = 1.0
     if arrays.soft is not None:
-        soft_rows = np.isfinite(arrays.soft).all(axis=1)
-
-    hard_rows = ~soft_rows
-    if hard_rows.any():
-        t0 = arrays.targets[hard_rows] - 1
-        pt = p[hard_rows, t0]
-        tgt_rows[hard_rows] = -np.log(np.maximum(pt, CLAMP))
-        active = pt > CLAMP
-        g = p[hard_rows].copy()
-        g[np.arange(len(t0)), t0] -= 1.0
-        g[~active] = 0.0
-        grad[hard_rows] += g
-    if soft_rows.any():
-        q = arrays.soft[soft_rows]
-        ps = p[soft_rows]
-        act = ps > CLAMP
-        qa = np.where(act, q, 0.0)
-        tgt_rows[soft_rows] = -(q * np.log(np.maximum(ps, CLAMP))).sum(axis=1)
-        grad[soft_rows] += qa.sum(axis=1, keepdims=True) * ps - qa
+        soft_rows = np.isfinite(arrays.soft).all(axis=1, keepdims=True)
+        target_w = np.where(soft_rows, arrays.soft, target_w)
+    tgt_rows, grad = _cross_entropy(p, log_p, target_w)
 
     # Negative term: -sum_c m_c log(1 - p_c), clamped entries frozen.
     q = 1.0 - p
@@ -129,11 +124,8 @@ def batch_terms(arrays: BatchArrays, alpha: float):
     grad += w - p * w.sum(axis=1, keepdims=True)
 
     # Positive term: -sum_c m_c log p_c.
-    mpos = arrays.pos_mask.astype(np.float64)
-    pos_active = p > CLAMP
-    mpa = np.where(pos_active, mpos, 0.0)
-    pos_rows = -(mpos * np.log(np.maximum(p, CLAMP))).sum(axis=1)
-    grad += mpa.sum(axis=1, keepdims=True) * p - mpa
+    pos_rows, pos_grad = _cross_entropy(p, log_p, arrays.pos_mask.astype(np.float64))
+    grad += pos_grad
 
     lab_w = 1.0 / n_lab if n_lab else 0.0
     uns_w = alpha / n_uns if n_uns else 0.0

@@ -294,8 +294,11 @@ def save_params(params: ModelParams, path) -> None:
 
 def load_params(path, expected_input_dim=None, expected_hidden=None, expected_labels=None) -> ModelParams:
     """Load a checkpoint, validating the header and (optionally) the shapes."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     if not lines or not lines[0].startswith(CHECKPOINT_MAGIC):
         raise CheckpointFormatError(f"{path}: not a model checkpoint")
     if lines[0] != f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}":
@@ -313,13 +316,16 @@ def load_params(path, expected_input_dim=None, expected_hidden=None, expected_la
             flat = np.array([float(x) for x in lines[i + 1].split()], dtype=np.float64)
         except ValueError as exc:
             raise CheckpointFormatError(f"{path}: bad values in section {name}: {exc}") from None
-        if flat.size != int(np.prod(shape)):
+        if any(s < 0 for s in shape) or flat.size != int(np.prod(shape)):
             raise CheckpointFormatError(
                 f"{path}: section {name} has {flat.size} values for shape {shape}"
             )
         values[name] = flat.reshape(shape)
         i += 2
-    values["mask_b"] = float(values["mask_b"][0])
+    mask_b = values["mask_b"]
+    if mask_b.shape != (1,):
+        raise CheckpointFormatError(f"{path}: section mask_b has shape {mask_b.shape}, not (1,)")
+    values["mask_b"] = float(mask_b[0])
     try:
         params = ModelParams(**values)
     except (ShapeMismatchError, ValueError) as exc:

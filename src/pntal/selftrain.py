@@ -17,6 +17,11 @@ The objective knob selects what unlabeled snippets learn from:
 Ground-truth snippets always receive target CE and the mask loss; they add
 negative loss over all non-target classes under hybrid and target-negative.
 
+Labeled and unlabeled snippets share one pool type and one builder,
+``build_pool``. Its labels come from a map of video id to action instances:
+the labeled videos' own, or a benchmark's sealed map, which only the
+per-epoch pseudo-label metrics read.
+
 The complementary draw (one non-target class per snippet per epoch, as in
 NLNL) is a hash of the row's content, so it does not depend on row order. For
 a row with target t among K labels, in wrapping uint64 arithmetic:
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +46,7 @@ from .core import (
     ExperimentConfig,
     VideoRecord,
     snippet_true_labels,
+    softmax_rows,
 )
 from .partition import partition_rows
 
@@ -89,26 +95,15 @@ def video_feature_matrix(video: VideoRecord, window: int = 0) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class LabeledPool:
+class Pool:
+    """The snippet rows of some videos, stacked in video order."""
+
     features: np.ndarray  # (N, d_in)
-    labels: np.ndarray  # (N,) 1-based class ids
-    mask_targets: np.ndarray  # (N,) 0/1 foreground flags
+    labels: Optional[np.ndarray]  # (N,) 1-based true class ids, None where unknown
 
     @property
     def size(self) -> int:
-        return len(self.labels)
-
-
-@dataclass(eq=False)
-class UnlabeledPool:
-    features: np.ndarray  # (N, d_in)
-    video_ids: tuple
-    video_index: np.ndarray  # (N,)
-    true_labels: Optional[np.ndarray]  # sealed; metrics only
-
-    @property
-    def size(self) -> int:
-        return len(self.video_index)
+        return len(self.features)
 
 
 @dataclass(eq=False)
@@ -121,76 +116,47 @@ class PseudoAnnotation:
     soft: Optional[np.ndarray]  # (N, K) or None
 
 
-def build_labeled_pool(videos: Sequence[VideoRecord], config: ExperimentConfig) -> LabeledPool:
-    feats, labels, masks = [], [], []
-    for video in videos:
-        feats.append(video_feature_matrix(video, config.feature_window))
-        lab = snippet_true_labels(video.instances, video.snippet_count, config.background_index)
-        labels.append(lab)
-        masks.append((lab != config.background_index).astype(np.float64))
-    if not feats:
-        return LabeledPool(
-            features=np.zeros((0, config.model_input_dim)),
-            labels=np.zeros(0, dtype=np.int64),
-            mask_targets=np.zeros(0),
-        )
-    return LabeledPool(
-        features=np.concatenate(feats),
-        labels=np.concatenate(labels),
-        mask_targets=np.concatenate(masks),
-    )
-
-
-def build_unlabeled_pool(
+def build_pool(
     videos: Sequence[VideoRecord],
     config: ExperimentConfig,
-    sealed_labels: Optional[Mapping[str, np.ndarray]] = None,
-) -> UnlabeledPool:
-    feats, vindex, truths = [], [], []
-    for i, video in enumerate(videos):
-        feats.append(video_feature_matrix(video, config.feature_window))
-        vindex.append(np.full(video.snippet_count, i, dtype=np.int64))
-        if sealed_labels is not None:
-            if video.video_id not in sealed_labels:
-                raise MissingGroundTruthError(video.video_id)
-            truths.append(np.asarray(sealed_labels[video.video_id], dtype=np.int64))
-    if not feats:
-        return UnlabeledPool(
-            features=np.zeros((0, config.model_input_dim)),
-            video_ids=(),
-            video_index=np.zeros(0, dtype=np.int64),
-            true_labels=np.zeros(0, dtype=np.int64) if sealed_labels is not None else None,
+    instances: Optional[Mapping[str, tuple]] = None,
+) -> Pool:
+    """The videos' model inputs; with per-snippet labels when ``instances``
+    maps every video's id to its action instances (a benchmark's sealed map,
+    or the labeled videos' own)."""
+    if not videos:
+        features = np.zeros((0, config.model_input_dim))
+    else:
+        features = np.concatenate([video_feature_matrix(v, config.feature_window) for v in videos])
+    if instances is None:
+        return Pool(features=features, labels=None)
+    labels = [np.zeros(0, dtype=np.int64)]
+    for video in videos:
+        if video.video_id not in instances:
+            raise MissingGroundTruthError(video.video_id)
+        labels.append(
+            snippet_true_labels(instances[video.video_id], video.snippet_count, config.background_index)
         )
-    return UnlabeledPool(
-        features=np.concatenate(feats),
-        video_ids=tuple(v.video_id for v in videos),
-        video_index=np.concatenate(vindex),
-        true_labels=np.concatenate(truths) if sealed_labels is not None else None,
-    )
+    return Pool(features=features, labels=np.concatenate(labels))
 
 
-def sealed_label_map(benchmark, config: ExperimentConfig) -> Dict[str, np.ndarray]:
-    """Per-snippet true labels for every unlabeled video, from the sealed channel."""
-    out = {}
-    for video in benchmark.unlabeled:
-        out[video.video_id] = snippet_true_labels(
-            benchmark.sealed[video.video_id], video.snippet_count, config.background_index
-        )
-    return out
+def _labeled_pool(videos: Sequence[VideoRecord], config: ExperimentConfig) -> Pool:
+    return build_pool(videos, config, {v.video_id: v.instances for v in videos})
+
+
+# The name the benchmark calls for unlabeled videos.
+build_unlabeled_pool = build_pool
 
 
 def sharpen_rows(probs: np.ndarray, temperature: float) -> np.ndarray:
-    """Power sharpening p^(1/T), renormalized row-wise (computed in log space)."""
+    """Power sharpening p^(1/T), renormalized row-wise: the softmax of log(p) / T."""
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
     if temperature == 1.0:
         return probs.copy()
-    with np.errstate(divide="ignore"):
-        logs = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), -np.inf)
-    scaled = logs / temperature
-    shifted = scaled - scaled.max(axis=1, keepdims=True)
-    out = np.exp(shifted)
-    return out / out.sum(axis=1, keepdims=True)
+    logs = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), -np.inf)
+    logs /= temperature
+    return softmax_rows(logs, out=logs)
 
 
 # splitmix64's finalizer multipliers (Steele, Lea and Flood, OOPSLA 2014).
@@ -310,7 +276,7 @@ class EpochMetrics:
     phase: str
     learning_rate: float
     loss: losses.LossBreakdown
-    pseudo_accuracy: float
+    pseudo_accuracy: Optional[float]  # None when no unlabeled snippet's truth is known
     subspace: Optional[SubspaceStats]
 
     def to_dict(self) -> dict:
@@ -343,9 +309,8 @@ def _epoch_batches(rng, pool_size: int, batch_size: int) -> List[np.ndarray]:
 
 
 def _mixed_step_arrays(
-    labeled_pool: LabeledPool,
+    labeled_pool: Pool,
     lab_rows: np.ndarray,
-    unlabeled_pool: UnlabeledPool,
     uns_rows: np.ndarray,
     ann: Optional[PseudoAnnotation],
     labeled_negative: bool,
@@ -363,13 +328,11 @@ def _mixed_step_arrays(
     targets = np.zeros(n, dtype=np.int64)
     neg_mask = np.zeros((n, label_count), dtype=bool)
     pos_mask = np.zeros((n, label_count), dtype=bool)
-    mask_targets = np.full(n, np.nan)
     soft = None
 
     if n_lab:
         gt = labeled_pool.labels[lab_rows]
         targets[:n_lab] = gt
-        mask_targets[:n_lab] = labeled_pool.mask_targets[lab_rows]
         if labeled_negative:
             neg = np.ones((n_lab, label_count), dtype=bool)
             neg[np.arange(n_lab), gt - 1] = False
@@ -378,12 +341,12 @@ def _mixed_step_arrays(
         targets[n_lab:] = ann.targets[uns_rows]
         neg_mask[n_lab:] = ann.neg_mask[uns_rows]
         pos_mask[n_lab:] = ann.pos_mask[uns_rows]
-        # Pseudo mask target: the snippet is foreground iff its pseudo target
-        # is an action class.
-        mask_targets[n_lab:] = (ann.targets[uns_rows] != label_count).astype(np.float64)
         if ann.soft is not None:
             soft = np.full((n, label_count), np.nan)
             soft[n_lab:] = ann.soft[uns_rows]
+    # Every row's mask target, true or pseudo: the snippet is foreground iff
+    # its target is an action class.
+    mask_targets = (targets != label_count).astype(np.float64)
     return losses.BatchArrays(
         probs=None,
         mask_scores=None,
@@ -442,14 +405,14 @@ def pretrain(labeled_videos: Sequence[VideoRecord], config: ExperimentConfig) ->
     """
     if not labeled_videos:
         raise EmptyLabeledSetError("pretraining needs at least one labeled video")
-    pool = build_labeled_pool(labeled_videos, config)
+    pool = _labeled_pool(labeled_videos, config)
     params = model.init_params(config.model_input_dim, config.hidden_width, config.label_count, config.seed)
     work = model.Workspace(params, rows=min(config.batch_size, pool.size))
     no_rows = np.zeros(0, dtype=np.int64)
     for epoch in range(config.pretrain_epochs):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_PRETRAIN, epoch]))
         for rows in _epoch_batches(rng, pool.size, config.batch_size):
-            supervision = _mixed_step_arrays(pool, rows, None, no_rows, None, True, config.label_count)
+            supervision = _mixed_step_arrays(pool, rows, no_rows, None, True, config.label_count)
             features = _gather_features(work, [(pool.features, rows)])
             # Every row is labeled, so no unsupervised weight applies.
             _train_step(work, features, supervision, config.learning_rate, alpha=0.0)
@@ -461,15 +424,17 @@ def self_train_loop(
     labeled_videos: Sequence[VideoRecord],
     unlabeled_videos: Sequence[VideoRecord],
     config: ExperimentConfig,
-    sealed_labels: Optional[Mapping[str, np.ndarray]] = None,
+    sealed: Optional[Mapping[str, tuple]] = None,
 ) -> Tuple[model.ModelParams, List[EpochMetrics]]:
     """Iterative self-training over the mixed labeled/pseudo-labeled stream.
 
-    It trains a copy of ``params`` and never writes into them, so several
-    loops may start from one pretrained model.
+    ``sealed`` (video id -> action instances, a benchmark's sealed map) is
+    read only for the per-epoch pseudo-label metrics. The loop trains a copy
+    of ``params`` and never writes into them, so several loops may start
+    from one pretrained model.
     """
-    labeled_pool = build_labeled_pool(labeled_videos, config)
-    unlabeled_pool = build_unlabeled_pool(unlabeled_videos, config, sealed_labels)
+    labeled_pool = _labeled_pool(labeled_videos, config)
+    unlabeled_pool = build_pool(unlabeled_videos, config, sealed)
     labeled_negative = config.objective in ("hybrid", "target-negative")
     work = model.Workspace(params)
     metrics: List[EpochMetrics] = []
@@ -480,12 +445,12 @@ def self_train_loop(
         # add to its peak memory.
         ann = assign_annotation(work.params, unlabeled_pool.features, config, epoch=epoch)
 
-        pseudo_accuracy = float("nan")
+        pseudo_accuracy = None
         subspace = None
-        if unlabeled_pool.true_labels is not None and unlabeled_pool.size:
-            pseudo_accuracy = float((ann.targets == unlabeled_pool.true_labels).mean())
+        if unlabeled_pool.labels is not None and unlabeled_pool.size:
+            pseudo_accuracy = float((ann.targets == unlabeled_pool.labels).mean())
             if ann.soft is None:
-                subspace = subspace_statistics(ann, unlabeled_pool.true_labels)
+                subspace = subspace_statistics(ann, unlabeled_pool.labels)
 
         lab_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_LABELED, epoch]))
         uns_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_UNLABELED, epoch]))
@@ -499,8 +464,7 @@ def self_train_loop(
         step_losses = []
         for lab_rows, uns_rows in zip(lab_batches, uns_chunks):
             supervision = _mixed_step_arrays(
-                labeled_pool, lab_rows, unlabeled_pool, uns_rows, ann,
-                labeled_negative, config.label_count,
+                labeled_pool, lab_rows, uns_rows, ann, labeled_negative, config.label_count
             )
             features = _gather_features(
                 work, [(labeled_pool.features, lab_rows), (unlabeled_pool.features, uns_rows)]

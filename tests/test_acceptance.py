@@ -16,7 +16,7 @@ from pntal.cli import main, run_experiment
 from pntal.core import ExperimentConfig
 from pntal.losses import BatchArrays, batch_terms, mask_loss
 from pntal.partition import partition_rows
-from pntal.selftrain import assign_annotation, build_unlabeled_pool, sealed_label_map
+from pntal.selftrain import assign_annotation, build_unlabeled_pool
 
 from oracles import (
     brute_force_average_precision,
@@ -307,11 +307,10 @@ def test_criterion_4_loss_ablation_trend(matrix):
 def test_criterion_5_subspace_audit(matrix):
     config = ExperimentConfig()
     bench = datagen.generate_benchmark(config)
-    sealed = sealed_label_map(bench, config)
-    pool = build_unlabeled_pool(bench.unlabeled, config, sealed)
+    pool = build_unlabeled_pool(bench.unlabeled, config, bench.sealed)
     params = matrix["results"]["hybrid-seed0"].params
     ann = assign_annotation(params, pool.features, config)
-    stats = selftrain.subspace_statistics(ann, pool.true_labels)
+    stats = selftrain.subspace_statistics(ann, pool.labels)
     passed = (
         stats.negative_rate < 0.05
         and stats.positive_rate_given_miss > stats.ambiguous_rate_given_miss

@@ -1,5 +1,6 @@
 """The benchmark's view of the program: what perfbench/ wraps and reads still
-exists, and the sweep workload's contract check on the complementary draw passes.
+exists, and every workload runs one unit through the program and passes its
+own checks (the sweep's include the contract check on the complementary draw).
 
 Tier-1 otherwise never imports perfbench/, so renaming or deleting a program
 name that the benchmark uses would break only the benchmark. The check runs
@@ -38,11 +39,13 @@ features = np.arange(12.0).reshape(4, 3)
 video = VideoRecord("v", features, (ActionInstance(0, 1, 2),), labeled=True)
 assert workloads._video_fingerprint(video) == ("v", features.tobytes(), [(0, 1, 2)])
 
-# The sweep workload's contract check on the complementary draw.
-sweep = workloads.Sweep(1, Path({out!r}))
-sweep.setup()
-problems = sweep._check_complementary(1)
-assert not problems, problems
+# Each workload's set-up, one unit and its first-unit checks, as a run does them.
+for name, workload_cls in workloads.WORKLOADS.items():
+    workload = workload_cls(1, Path({out!r}) / name)
+    workload.setup()
+    output = workload.unit(1)
+    problems = workload.check(1, output, True)
+    assert not problems, (name, problems)
 print("ok")
 """
 

@@ -1,10 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from pntal import cli, datagen, localize, model, selftrain
-from pntal.core import BadConfigError, ExperimentConfig
+from pntal.core import BadConfigError, ExperimentConfig, snippet_true_labels
 from pntal.cli import (
     MissingArtifactError,
     build_id,
@@ -166,6 +167,24 @@ class TestExitCodes:
             assert not out.exists()
         assert generate_calls == []
 
+    def test_config_not_utf8(self, tmp_path, capsys, generate_calls):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes("objective = hybrid # caf\u00e9\n".encode("latin-1"))
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(bad) in err
+        assert not out.exists()
+        assert generate_calls == []
+
+    def test_malformed_checkpoint(self, tmp_path, capsys, generate_calls):
+        ckpt = tmp_path / "ckpt.txt"
+        model.save_params(model.init_params(8, 12, 5, seed=0), ckpt)
+        ckpt.write_bytes(ckpt.read_bytes().replace(b"class_w", b"class_\xff"))
+        assert main(["evaluate", "--params", str(ckpt), "--out", str(tmp_path / "o")]) == 2
+        assert "pntal: error" in capsys.readouterr().err
+        assert generate_calls == []  # reported before any dataset is built
+
     def test_evaluate_needs_source(self, tmp_path, capsys):
         assert main(["evaluate", "--out", str(tmp_path / "o")]) == 1
 
@@ -247,6 +266,26 @@ class TestSelftrainCommand:
             assert main(["selftrain", "--config", tiny_config_file, "--out", str(out)]) == 0
         for name in ("metrics.jsonl", "map.csv", "detections.tsv", "checkpoint.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("labeled_ratio", ["0.25", "1.0"])
+    def test_metrics_are_strict_json(self, tiny_config_file, tmp_path, labeled_ratio):
+        """Every metrics.jsonl line parses under RFC 8259 (no NaN); with every
+        video labeled there is no pseudo-label accuracy to report."""
+        out = tmp_path / "st"
+        assert main(["selftrain", "--config", tiny_config_file, "--labeled-ratio", labeled_ratio,
+                     "--out", str(out)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        lines = (out / "metrics.jsonl").read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line, parse_constant=refuse) for line in lines]
+        assert len(records) == load_config(tiny_config_file, {}).selftrain_epochs
+        for record in records:
+            if labeled_ratio == "1.0":
+                assert record["pseudo_accuracy"] is None
+            else:
+                assert 0.0 <= record["pseudo_accuracy"] <= 1.0
 
     def test_seed_changes_metrics(self, tiny_config_file, tmp_path):
         out_a = tmp_path / "a"
@@ -372,13 +411,18 @@ class TestSweeps:
                      "--out", str(out)]) == 0
         config = load_config(tiny_config_file, {"objective": objective})
         bench = datagen.generate_benchmark(config)
-        sealed = selftrain.sealed_label_map(bench, config)
         params = selftrain.pretrain(bench.labeled, config)
         params, _ = selftrain.self_train_loop(
-            params, bench.labeled, bench.unlabeled, config, sealed_labels=sealed
+            params, bench.labeled, bench.unlabeled, config, sealed=bench.sealed
         )
         features = np.concatenate([v.features for v in bench.unlabeled])
-        truths = [int(t) for v in bench.unlabeled for t in sealed[v.video_id]]
+        truths = [
+            int(t)
+            for v in bench.unlabeled
+            for t in snippet_true_labels(
+                bench.sealed[v.video_id], v.snippet_count, config.background_index
+            )
+        ]
         if objective == "hybrid":
             # The brute-force partition of each sharpened row.
             probs, _, _ = model.forward_batch(params, features)

@@ -88,11 +88,12 @@ class TestGenerateBenchmark:
         cfg = small_config(labeled_ratio=0.25)
         bench = generate_benchmark(cfg)
         assert set(bench.sealed) == {v.video_id for v in bench.unlabeled}
-        sealed = selftrain.sealed_label_map(bench, cfg)
         for video in bench.unlabeled:
             assert video.instances == ()
             assert not video.labeled
-            labels = sealed[video.video_id]
+            labels = snippet_true_labels(
+                bench.sealed[video.video_id], video.snippet_count, cfg.background_index
+            )
             assert len(labels) == video.snippet_count
 
     def test_noiseless_nearest_prototype(self):

@@ -268,6 +268,13 @@ class TestCombinedLoss:
 
 
 def test_batch_terms_matches_per_snippet_ops():
+    """One batch of labeled rows and pseudo-labeled rows: pseudo rows carry
+    target, negatives and a positive, or (as under soft-pseudo) a soft label."""
+    for unlabeled_rows in ("pseudo", "soft"):
+        _check_batch_against_per_row_ops(unlabeled_rows)
+
+
+def _check_batch_against_per_row_ops(unlabeled_rows):
     rng = np.random.default_rng(9)
     k = 6
     n = 12
@@ -278,11 +285,15 @@ def test_batch_terms_matches_per_snippet_ops():
     neg_mask = np.zeros((n, k), dtype=bool)
     pos_mask = np.zeros((n, k), dtype=bool)
     mask_targets = np.full(n, np.nan)
+    soft = np.full((n, k), np.nan) if unlabeled_rows == "soft" else None
     for i in range(n):
         if labeled[i]:
             neg_mask[i] = True
             neg_mask[i, targets[i] - 1] = False
             mask_targets[i] = float(rng.integers(0, 2))
+        elif soft is not None:
+            soft[i] = rng.dirichlet(np.ones(k))
+            targets[i] = int(np.argmax(soft[i])) + 1
         else:
             others = [c for c in range(1, k + 1) if c != targets[i]]
             rng.shuffle(others)
@@ -290,12 +301,16 @@ def test_batch_terms_matches_per_snippet_ops():
                 neg_mask[i, c - 1] = True
             for c in others[2:3]:
                 pos_mask[i, c - 1] = True
+    assert 0 < labeled.sum() < n
     alpha = 0.6
-    arrays = BatchArrays(
-        probs=probs, mask_scores=scores, labeled=labeled, targets=targets,
-        neg_mask=neg_mask, pos_mask=pos_mask, mask_targets=mask_targets,
-    )
-    breakdown, grad, grad_mask = batch_terms(arrays, alpha=alpha)
+
+    def arrays_for(p):
+        return BatchArrays(
+            probs=p, mask_scores=scores, labeled=labeled, targets=targets,
+            neg_mask=neg_mask, pos_mask=pos_mask, mask_targets=mask_targets, soft=soft,
+        )
+
+    breakdown, _, _ = batch_terms(arrays_for(probs), alpha=alpha)
 
     n_lab = labeled.sum()
     n_uns = n - n_lab
@@ -303,7 +318,10 @@ def test_batch_terms_matches_per_snippet_ops():
     # Each row's terms by their definitions, with math.log.
     for i, row in enumerate(probs.tolist()):
         w = 1.0 / n_lab if labeled[i] else alpha / n_uns
-        expect_target += w * -math.log(row[targets[i] - 1])
+        if soft is not None and not labeled[i]:
+            expect_target += w * -sum(q * math.log(pc) for q, pc in zip(soft[i], row))
+        else:
+            expect_target += w * -math.log(row[targets[i] - 1])
         expect_neg += w * -sum(math.log(1.0 - row[c]) for c in np.nonzero(neg_mask[i])[0])
         expect_pos += w * -sum(math.log(row[c]) for c in np.nonzero(pos_mask[i])[0])
     assert breakdown.target == pytest.approx(expect_target, abs=1e-12)
@@ -315,19 +333,10 @@ def test_batch_terms_matches_per_snippet_ops():
         z = np.asarray(flat).reshape(n, k)
         p = np.exp(z - z.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
-        arr = BatchArrays(
-            probs=p, mask_scores=scores, labeled=labeled, targets=targets,
-            neg_mask=neg_mask, pos_mask=pos_mask, mask_targets=mask_targets,
-        )
-        return batch_terms(arr, alpha=alpha)[0].total
+        return batch_terms(arrays_for(p), alpha=alpha)[0].total
 
     logits = np.log(probs)
-    arrays2 = BatchArrays(
-        probs=np.exp(logits - logits.max(axis=1, keepdims=True))
-        / np.exp(logits - logits.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True),
-        mask_scores=scores, labeled=labeled, targets=targets,
-        neg_mask=neg_mask, pos_mask=pos_mask, mask_targets=mask_targets,
-    )
-    _, grad2, _ = batch_terms(arrays2, alpha=alpha)
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    _, grad2, _ = batch_terms(arrays_for(shifted / shifted.sum(axis=1, keepdims=True)), alpha=alpha)
     numeric = finite_difference(total_from_logits, list(logits.ravel()), h=1e-6)
     assert_gradients_close(grad2.ravel(), numeric, rel_tol=1e-4, abs_tol=1e-7)

@@ -298,6 +298,33 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError):
             load_params(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        save_params(init_params(5, 6, 4, seed=11), path)
+        path.write_bytes(path.read_bytes().replace(b"trunk_b", b"trunk_\xff"))
+        with pytest.raises(CheckpointFormatError, match="UTF-8"):
+            load_params(path)
+
+    def test_negative_dimensions(self, tmp_path):
+        # Four values and a shape whose product is 4: only the signs are wrong.
+        path = tmp_path / "ckpt.txt"
+        save_params(init_params(5, 4, 4, seed=11), path)
+        text = path.read_text()
+        assert "\ntrunk_b 4\n" in text
+        path.write_text(text.replace("\ntrunk_b 4\n", "\ntrunk_b -2 -2\n"))
+        with pytest.raises(CheckpointFormatError, match="trunk_b"):
+            load_params(path)
+
+    @pytest.mark.parametrize("header", ["mask_b", "mask_b 1 1"])
+    def test_mask_bias_not_one_value(self, tmp_path, header):
+        path = tmp_path / "ckpt.txt"
+        save_params(init_params(5, 4, 4, seed=11), path)
+        text = path.read_text()
+        assert "\nmask_b 1\n" in text
+        path.write_text(text.replace("\nmask_b 1\n", f"\n{header}\n"))
+        with pytest.raises(CheckpointFormatError, match="mask_b"):
+            load_params(path)
+
 
 def test_training_sanity_two_class():
     # 200 optimizer steps on a linearly separable 2-class set -> >= 99%.

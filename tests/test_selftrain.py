@@ -14,7 +14,6 @@ from pntal.selftrain import (
     assign_annotation,
     build_unlabeled_pool,
     pretrain,
-    sealed_label_map,
     self_train_loop,
     sharpen_rows,
     snippet_accuracy,
@@ -326,9 +325,8 @@ class TestSubspaceStatistics:
         cfg = small_config(sharpen_temperature=1.0)
         bench = datagen.generate_benchmark(cfg.replace(noise_sigma=0.0, ambiguous_ratio=0.0,
                                                        distractor_ratio=0.0))
-        sealed = sealed_label_map(bench, cfg)
         # craft annotations equal to ground truth
-        truths = np.concatenate([sealed[v.video_id] for v in bench.unlabeled])
+        truths = build_unlabeled_pool(bench.unlabeled, cfg, bench.sealed).labels
         neg_mask = np.zeros((len(truths), cfg.label_count), dtype=bool)
         pos_mask = np.zeros((len(truths), cfg.label_count), dtype=bool)
         for i, t in enumerate(truths):
@@ -347,10 +345,10 @@ class TestSubspaceStatistics:
         # (first non-target in sorted order), positives = rest.
         cfg = small_config(sharpen_temperature=1.0)
         bench = datagen.generate_benchmark(cfg)
-        pool = build_unlabeled_pool(bench.unlabeled, cfg, sealed_label_map(bench, cfg))
+        pool = build_unlabeled_pool(bench.unlabeled, cfg, bench.sealed)
         params = bias_model([0.2] * 5, cfg.model_input_dim)
-        stats = subspace_statistics(assign_annotation(params, pool.features, cfg), pool.true_labels)
-        truths = pool.true_labels
+        stats = subspace_statistics(assign_annotation(params, pool.features, cfg), pool.labels)
+        truths = pool.labels
         assert stats.target_rate == pytest.approx((truths == 1).mean())
         assert stats.negative_rate == pytest.approx((truths == 2).mean())
         assert stats.positive_rate == pytest.approx((truths >= 3).mean())
@@ -360,8 +358,8 @@ class TestSubspaceStatistics:
         cfg = small_config()
         bench = datagen.generate_benchmark(cfg)
         params = pretrain(bench.labeled, cfg)
-        pool = build_unlabeled_pool(bench.unlabeled, cfg, sealed_label_map(bench, cfg))
-        stats = subspace_statistics(assign_annotation(params, pool.features, cfg), pool.true_labels)
+        pool = build_unlabeled_pool(bench.unlabeled, cfg, bench.sealed)
+        stats = subspace_statistics(assign_annotation(params, pool.features, cfg), pool.labels)
         assert sum(stats.rates()) == pytest.approx(1.0, abs=1e-9)
 
     def test_missing_ground_truth(self):
@@ -395,8 +393,7 @@ class TestSelfTrainLoop:
         cfg = small_config()
         bench = datagen.generate_benchmark(cfg)
         params = pretrain(bench.labeled, cfg)
-        sealed = sealed_label_map(bench, cfg)
-        _, metrics = self_train_loop(params, bench.labeled, bench.unlabeled, cfg, sealed_labels=sealed)
+        _, metrics = self_train_loop(params, bench.labeled, bench.unlabeled, cfg, sealed=bench.sealed)
         assert len(metrics) == cfg.selftrain_epochs
         for epoch, record in enumerate(metrics):
             assert record.epoch == epoch
@@ -416,9 +413,8 @@ class TestSelfTrainLoop:
         bench = datagen.generate_benchmark(cfg)
         params = pretrain(bench.labeled, cfg)
         before = [np.asarray(getattr(params, name)).tobytes() for name in model.PARAM_FIELDS]
-        sealed = sealed_label_map(bench, cfg)
-        a, metrics_a = self_train_loop(params, bench.labeled, bench.unlabeled, cfg, sealed_labels=sealed)
-        b, metrics_b = self_train_loop(params, bench.labeled, bench.unlabeled, cfg, sealed_labels=sealed)
+        a, metrics_a = self_train_loop(params, bench.labeled, bench.unlabeled, cfg, sealed=bench.sealed)
+        b, metrics_b = self_train_loop(params, bench.labeled, bench.unlabeled, cfg, sealed=bench.sealed)
         for name in model.PARAM_FIELDS:
             assert np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
         assert [m.to_dict() for m in metrics_a] == [m.to_dict() for m in metrics_b]
