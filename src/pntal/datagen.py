@@ -339,6 +339,7 @@ def load_feature_file(path) -> List[VideoRecord]:
         # Zero-width rows would let any snippet count load from no bytes.
         raise CorruptRecordError(f"{path}: feature dimension {feature_dim} in header")
     videos = []
+    seen = set()
     for v in range(video_count):
         (id_len,) = reader.unpack(_VIDEO_HEAD, f"video #{v} id length")
         id_offset = reader.offset
@@ -348,6 +349,9 @@ def load_feature_file(path) -> List[VideoRecord]:
             raise CorruptRecordError(
                 f"{path}: video #{v} id is not UTF-8 at byte offset {id_offset}"
             ) from None
+        if video_id in seen:
+            raise CorruptRecordError(f"{path}: video #{v} repeats the id {video_id!r}")
+        seen.add(video_id)
         n_snippets, labeled, instance_count = reader.unpack(_VIDEO_META, f"video {video_id} metadata")
         instances = []
         for j in range(instance_count):

@@ -322,6 +322,9 @@ def load_params(path, expected_input_dim=None, expected_hidden=None, expected_la
             )
         values[name] = flat.reshape(shape)
         i += 2
+    tail = next((j for j in range(i, len(lines)) if lines[j].strip()), None)
+    if tail is not None:
+        raise CheckpointFormatError(f"{path}: line {tail + 1}: content after section mask_b")
     mask_b = values["mask_b"]
     if mask_b.shape != (1,):
         raise CheckpointFormatError(f"{path}: section mask_b has shape {mask_b.shape}, not (1,)")

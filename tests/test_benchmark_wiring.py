@@ -1,6 +1,7 @@
 """The benchmark's view of the program: what perfbench/ wraps and reads still
-exists, and every workload runs one unit through the program and passes its
-own checks (the sweep's include the contract check on the complementary draw).
+exists, every workload runs one unit through the program and passes its own
+checks (the sweep's include the contract check on the complementary draw), and
+a traced localize unit counts what the per-layer table reports.
 
 Tier-1 otherwise never imports perfbench/, so renaming or deleting a program
 name that the benchmark uses would break only the benchmark. The check runs
@@ -22,6 +23,7 @@ import numpy as np
 
 import oracles
 import pntal
+import tracing
 import workloads
 from pntal.core import ActionInstance, VideoRecord
 
@@ -40,12 +42,27 @@ video = VideoRecord("v", features, (ActionInstance(0, 1, 2),), labeled=True)
 assert workloads._video_fingerprint(video) == ("v", features.tobytes(), [(0, 1, 2)])
 
 # Each workload's set-up, one unit and its first-unit checks, as a run does them.
+ready = {{}}
 for name, workload_cls in workloads.WORKLOADS.items():
     workload = workload_cls(1, Path({out!r}) / name)
     workload.setup()
     output = workload.unit(1)
     problems = workload.check(1, output, True)
     assert not problems, (name, problems)
+    ready[name] = workload
+
+# A traced localize unit: Soft-NMS takes every candidate in one call and keeps
+# exactly the detections returned; candidates are generated once per video.
+with tracing.Tracer(workloads.LAYER_POINTS) as tracer:
+    tracer.unit = 2
+    videos, detections, _ = ready["localize"].unit(2).payload
+    tracer.unit = None
+totals = tracer.layer_totals([2])
+cands, nms = totals["localize.generate_candidates"], totals["localize.soft_nms"]
+assert cands["calls"] == len(videos), (cands["calls"], len(videos))
+assert nms["calls"] == totals["localize.detect_videos"]["calls"] == 1, nms
+assert nms["in"] == cands["candidates"], (nms["in"], cands["candidates"])
+assert nms["kept"] == len(detections), (nms["kept"], len(detections))
 print("ok")
 """
 

@@ -185,6 +185,14 @@ class TestExitCodes:
         assert "pntal: error" in capsys.readouterr().err
         assert generate_calls == []  # reported before any dataset is built
 
+    def test_checkpoint_with_junk_tail(self, tmp_path, capsys, generate_calls):
+        ckpt = tmp_path / "ckpt.txt"
+        model.save_params(model.init_params(8, 12, 5, seed=0), ckpt)
+        ckpt.write_text(ckpt.read_text() + "junk\n")
+        assert main(["evaluate", "--params", str(ckpt), "--out", str(tmp_path / "o")]) == 2
+        assert "content after section mask_b" in capsys.readouterr().err
+        assert generate_calls == []
+
     def test_evaluate_needs_source(self, tmp_path, capsys):
         assert main(["evaluate", "--out", str(tmp_path / "o")]) == 1
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pntal import datagen, selftrain
-from pntal.core import Error, ExperimentConfig, snippet_true_labels
+from pntal.core import Error, ExperimentConfig, VideoRecord, snippet_true_labels
 from pntal.datagen import (
     BadMagicError,
     CorruptRecordError,
@@ -208,6 +208,15 @@ class TestFeatureContainer:
         with pytest.raises(ShapeMismatchError) as err:
             load_feature_file(path)
         assert video.video_id in str(err.value)
+
+    def test_repeated_video_id_rejected(self, tmp_path):
+        cfg = small_config()
+        first, second = generate_benchmark(cfg).test[:2]
+        twin = VideoRecord(first.video_id, second.features, second.instances, second.labeled)
+        path = tmp_path / "features.bin"
+        write_feature_file(path, [first, twin], cfg.class_count, cfg.feature_dim)
+        with pytest.raises(CorruptRecordError, match=f"repeats the id '{first.video_id}'"):
+            load_feature_file(path)
 
     def test_manifest_writer(self, tmp_path):
         cfg = small_config()

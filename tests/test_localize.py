@@ -3,45 +3,64 @@ import math
 import numpy as np
 import pytest
 
-from pntal.core import ActionInstance
+from pntal import model
+from pntal.core import ActionInstance, ExperimentConfig, VideoRecord
 from pntal.localize import (
     Detection,
+    DetectionTable,
+    DuplicateVideoError,
     MalformedDetectionError,
+    detect_videos,
+    detection_table,
     generate_candidates,
+    ground_truth_map,
     load_detections,
     mean_average_precision,
     soft_nms,
-    temporal_iou,
     write_detections,
 )
 
-from oracles import brute_force_average_precision, reference_candidates, reference_soft_nms
+from oracles import (
+    brute_force_average_precision,
+    interval_iou,
+    reference_candidates,
+    reference_soft_nms,
+)
 
 
 def det(video="v", start=0, end=9, cls=1, score=0.5):
     return Detection(video_id=video, start=start, end=end, class_idx=cls, score=score)
 
 
+def matches_at(det_span, inst_span, thr):
+    """Whether one detection matches one instance at tIoU threshold thr."""
+    gt = {"v": (ActionInstance(inst_span[0], inst_span[1], 1),)}
+    return mean_average_precision([det("v", *det_span)], gt, [thr]).map_at(thr) == 1.0
+
+
 class TestTemporalIoU:
+    """The tIoU that matching uses, seen through a one-instance mAP."""
+
     def test_identity(self):
-        assert temporal_iou(det(start=0, end=9), det(start=0, end=9)) == 1.0
+        assert matches_at((0, 9), (0, 9), 1.0)
 
     def test_disjoint(self):
-        assert temporal_iou(det(start=0, end=4), det(start=5, end=9)) == 0.0
+        assert not matches_at((0, 4), (5, 9), 0.0)
 
     def test_partial(self):
-        value = temporal_iou(det(start=0, end=9), det(start=5, end=14))
-        assert value == pytest.approx(5 / 15, abs=1e-12)
+        assert matches_at((0, 9), (5, 14), 5 / 15)
+        assert not matches_at((0, 9), (5, 14), math.nextafter(5 / 15, 1.0))
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
-            a = sorted(rng.integers(0, 50, size=2))
-            b = sorted(rng.integers(0, 50, size=2))
-            x = det(start=a[0], end=a[1])
-            y = det(start=b[0], end=b[1])
-            assert temporal_iou(x, y) == temporal_iou(y, x)
-            assert 0.0 <= temporal_iou(x, y) <= 1.0
+            a = tuple(sorted(int(x) for x in rng.integers(0, 50, size=2)))
+            b = tuple(sorted(int(x) for x in rng.integers(0, 50, size=2)))
+            iou = interval_iou(*a, *b)
+            assert iou == interval_iou(*b, *a) and 0.0 <= iou <= 1.0
+            for x, y in ((a, b), (b, a)):
+                assert matches_at(x, y, iou) == (iou > 0.0)
+                assert not matches_at(x, y, math.nextafter(iou, 2.0))
 
 
 class TestGenerateCandidates:
@@ -54,22 +73,21 @@ class TestGenerateCandidates:
         ])
         mask = np.array([0.9, 0.9, 0.1])
         cands = generate_candidates("v", probs, mask, [0.5], [0.5])
-        assert len(cands) == 1
-        c = cands[0]
+        [c] = cands
         assert (c.start, c.end, c.class_idx) == (0, 1, 2)
         assert c.score == pytest.approx(0.8 * 0.9, abs=1e-12)
 
     def test_no_mask_no_candidates(self):
         probs = np.full((4, 3), 1 / 3)
         cands = generate_candidates("v", probs, np.zeros(4), [0.1], [0.1])
-        assert cands == []
+        assert len(cands) == 0
 
     def test_whole_video_single_candidate(self):
         probs = np.tile(np.array([0.9, 0.05, 0.05]), (6, 1))
         mask = np.full(6, 0.8)
         cands = generate_candidates("v", probs, mask, [0.5], [0.5, 0.7])
-        assert len(cands) == 1
-        assert (cands[0].start, cands[0].end, cands[0].class_idx) == (0, 5, 1)
+        [c] = cands
+        assert (c.start, c.end, c.class_idx) == (0, 5, 1)
 
     def test_threshold_order_invariance(self):
         rng = np.random.default_rng(1)
@@ -78,7 +96,7 @@ class TestGenerateCandidates:
         grids = ([0.2, 0.5, 0.8], [0.8, 0.2, 0.5])
         a = generate_candidates("v", probs, mask, grids[0], grids[0])
         b = generate_candidates("v", probs, mask, grids[1], grids[1])
-        assert a == b
+        assert list(a) == list(b)
 
     def test_background_never_a_candidate_class(self):
         probs = np.tile(np.array([0.05, 0.05, 0.9]), (5, 1))  # background dominant
@@ -95,14 +113,14 @@ class TestSoftNms:
 
     def test_identical_boxes_decay(self):
         dets = [det(score=0.9), det(score=0.8)]
-        out = soft_nms(dets, sigma=0.5, score_floor=0.0)
+        out = list(soft_nms(dets, sigma=0.5, score_floor=0.0))
         assert out[0].score == pytest.approx(0.9)
         assert out[1].score == pytest.approx(0.8 * math.exp(-2.0), abs=1e-9)
         assert out[1].score == pytest.approx(0.10827, abs=1e-5)
 
     def test_single_detection(self):
-        out = soft_nms([det(score=0.4)], sigma=0.5, score_floor=0.1)
-        assert len(out) == 1 and out[0].score == 0.4
+        [kept] = soft_nms([det(score=0.4)], sigma=0.5, score_floor=0.1)
+        assert kept.score == 0.4
 
     def test_never_increases_scores(self):
         rng = np.random.default_rng(2)
@@ -246,9 +264,10 @@ class TestAgainstLoopReferences:
             sigma = float(rng.choice([0.05, 0.3, 0.5, 2.0]))
             floor = float(rng.choice([0.0, 1.0, 0.1, rng.random()]))
             got = soft_nms([Detection("v", *row) for row in rows], sigma, floor)
-            assert [(d.start, d.end, d.class_idx, d.score) for d in got] == (
-                reference_soft_nms(rows, sigma, floor)
-            )
+            assert [(d.start, d.end, d.class_idx, d.score) for d in got] == [
+                kept for cls in (1, 2)
+                for kept in reference_soft_nms([r for r in rows if r[2] == cls], sigma, floor)
+            ]
 
 
 def _random_scene(rng, n_videos=2, max_gt=4, max_det=8):
@@ -337,4 +356,101 @@ def test_detection_dump_round_trip(tmp_path):
     path = tmp_path / "dets.tsv"
     write_detections(path, dets)
     loaded = load_detections(path)
-    assert loaded == dets
+    assert list(loaded) == dets
+
+
+def _soft_nms_rows(video, cls, rng, n, start_range):
+    """n rows of one (video, class) group with tied scores and exact duplicates."""
+    rows = []
+    for _ in range(n):
+        s = int(rng.integers(0, start_range))
+        score = float(rng.choice([0.25, 0.5, 1.0])) if rng.random() < 0.3 else float(rng.random())
+        rows.append((video, s, s + int(rng.integers(0, 12)), cls, score))
+    return rows + rows[: int(rng.integers(0, 4))]
+
+
+def test_soft_nms_many_groups_against_oracle():
+    """One call over skewed groups equals the loop oracle run group by group."""
+    rng = np.random.default_rng(14)
+    rows = _soft_nms_rows("b", 2, rng, 320, 200)  # one big group
+    for k in range(40):  # and many small ones, most of them a single row
+        n = 1 if k % 4 else int(rng.integers(2, 20))
+        rows += _soft_nms_rows(["c", "a", "b"][k % 3], int(rng.integers(1, 6)), rng, n, 40)
+    rng.shuffle(rows)
+    videos = list(dict.fromkeys(r[0] for r in rows))  # codes follow first appearance
+    groups = sorted({(videos.index(r[0]), r[3]) for r in rows})
+    assert sum(1 for r in rows if (r[0], r[3]) == ("b", 2)) >= 320
+    for sigma in (0.05, 0.5, 2.0):
+        for floor in (0.0, 1.0):
+            got = soft_nms([Detection(*row) for row in rows], sigma, floor)
+            want = []
+            for v, cls in groups:
+                group = [r[1:] for r in rows if r[0] == videos[v] and r[3] == cls]
+                kept = reference_soft_nms([(s, e, c, x) for s, e, c, x in group], sigma, floor)
+                want += [(videos[v],) + row for row in kept]
+            assert [(d.video_id, d.start, d.end, d.class_idx, d.score) for d in got] == want
+            assert floor == 0.0 or all(d.score >= 1.0 for d in got)
+
+
+def _scene_model():
+    """A random model, four videos with ids out of sorted order, and one
+    all-zero video whose mask scores all fall below the thresholds."""
+    config = ExperimentConfig(class_count=3, feature_dim=6, hidden_width=10, feature_window=1,
+                              soft_nms_floor=0.05)
+    params = model.init_params(config.model_input_dim, config.hidden_width, config.label_count, seed=3)
+    params = model.ModelParams(
+        trunk_w=params.trunk_w * 3.0, trunk_b=np.zeros(config.hidden_width), class_w=params.class_w * 3.0,
+        class_b=params.class_b, mask_w=np.abs(params.mask_w) * 4.0, mask_b=-3.0,
+    )
+    rng = np.random.default_rng(15)
+    videos = []
+    for vid in ("v-c", "v-a", "v-empty", "v-b"):
+        n = int(rng.integers(40, 90))
+        features = np.zeros((n, config.feature_dim)) if vid == "v-empty" else rng.normal(size=(n, 6))
+        videos.append(VideoRecord(vid, features, (ActionInstance(2, 9, 1), ActionInstance(20, 31, 2)), False))
+    return params, videos, config
+
+
+def test_detect_videos_against_loop_references():
+    from pntal.selftrain import video_feature_matrix
+
+    params, videos, config = _scene_model()
+    want = []
+    for video in videos:
+        probs, scores, _ = model.forward_batch(params, video_feature_matrix(video, config.feature_window))
+        cands = reference_candidates(
+            probs, scores, config.classification_thresholds, config.mask_thresholds
+        )
+        assert (len(cands) == 0) == (video.video_id == "v-empty")
+        for cls in sorted({c for _, _, c, _ in cands}):
+            kept = reference_soft_nms(
+                [row for row in cands if row[2] == cls], config.soft_nms_sigma, config.soft_nms_floor
+            )
+            want += [(video.video_id,) + row for row in kept]
+    want.sort(key=lambda d: (d[0], d[3], d[1], d[2], -d[4]))
+    got = detect_videos(params, videos, config)
+    assert isinstance(got, DetectionTable)
+    assert [(d.video_id, d.start, d.end, d.class_idx, d.score) for d in got] == want
+    assert len(want) > 50 and len({d[0] for d in want}) == 3
+
+
+def test_map_same_for_table_and_shuffled_rows():
+    rng = np.random.default_rng(16)
+    gt, dets = _many_video_scene(rng, 30)
+    table = detection_table(dets)
+    rows = list(table)
+    assert rows == dets
+    rng.shuffle(rows)
+    grid = [0.3, 0.5, 0.7]
+    result = mean_average_precision(table, gt, grid)
+    assert result == mean_average_precision(rows, gt, grid)
+    assert 0.0 < result.average_map < 1.0
+
+
+def test_ground_truth_map_rejects_repeated_ids():
+    # Two videos "v": the map would keep only the second one's instances.
+    first = VideoRecord("v", np.zeros((10, 2)), (ActionInstance(0, 3, 1),), False)
+    second = VideoRecord("v", np.zeros((10, 2)), (ActionInstance(5, 8, 2),), False)
+    with pytest.raises(DuplicateVideoError, match="'v'"):
+        ground_truth_map([first, second])
+    assert ground_truth_map([first]) == {"v": first.instances}

@@ -315,6 +315,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="trunk_b"):
             load_params(path)
 
+    def test_content_after_last_section(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        save_params(init_params(5, 4, 4, seed=11), path)
+        load_params(path)  # the file as written loads
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\njunk 1\n")
+        with pytest.raises(CheckpointFormatError, match="after section mask_b"):
+            load_params(path)
+
     @pytest.mark.parametrize("header", ["mask_b", "mask_b 1 1"])
     def test_mask_bias_not_one_value(self, tmp_path, header):
         path = tmp_path / "ckpt.txt"
