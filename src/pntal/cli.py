@@ -203,7 +203,7 @@ class ExperimentResult:
     config: ExperimentConfig
     params: model.ModelParams
     metrics: List[selftrain.EpochMetrics]
-    detections: List[localize.Detection]
+    detections: localize.DetectionTable
     evaluation: localize.EvalResult
     stage_s: Dict[str, float]  # wall time of each stage that ran, in run order
 

@@ -108,10 +108,7 @@ class DetectionTable:
         return DetectionTable(self.video_ids, *(getattr(self, name)[rows] for name in _COLUMNS))
 
 
-Detections = Union[DetectionTable, Sequence[Detection]]
-
-
-def detection_table(detections: Detections) -> DetectionTable:
+def detection_table(detections: Union[DetectionTable, Sequence[Detection]]) -> DetectionTable:
     """A table as it is; Detection rows as a table in their order, each video
     id coded by its first appearance."""
     if isinstance(detections, DetectionTable):
@@ -204,7 +201,7 @@ def generate_candidates(
     )
 
 
-def soft_nms(detections: Detections, sigma: float, score_floor: float) -> DetectionTable:
+def soft_nms(table: DetectionTable, sigma: float, score_floor: float) -> DetectionTable:
     """Gaussian-decay Soft-NMS within every (video, class) group, all groups at once.
 
     Each round, every live group keeps its highest remaining score (ties go
@@ -215,7 +212,6 @@ def soft_nms(detections: Detections, sigma: float, score_floor: float) -> Detect
     the groups in (video, class) order, each group's kept rows in the order
     they were kept.
     """
-    table = detection_table(detections)
     if not len(table):
         return table
     order = np.lexsort((table.end, table.start, table.class_idx, table.video))
@@ -335,7 +331,7 @@ def _greedy_hits(det: np.ndarray, gt: np.ndarray, grid: np.ndarray) -> np.ndarra
 
 
 def mean_average_precision(
-    detections: Detections,
+    detections: Union[DetectionTable, Sequence[Detection]],
     ground_truth: Mapping[str, Sequence[ActionInstance]],
     tiou_grid: Sequence[float],
 ) -> EvalResult:
@@ -413,22 +409,13 @@ def detect_videos(
     return kept.take(np.lexsort((-kept.score, kept.end, kept.start, kept.class_idx, video)))
 
 
-def write_detections(path, detections: Detections) -> None:
-    """One detection per line: video id, start, end, class, score.
-
-    numpy's float64-to-str is the shortest round-trip form, the text of
-    repr(float); the lines are built as one array and written as one string.
-    """
-    table = detection_table(detections)
-    names = np.array([name + "\t" for name in table.video_ids], dtype=str)[table.video]
-    line = (
-        names + table.start.astype(str) + "\t" + table.end.astype(str) + "\t"
-        + table.class_idx.astype(str) + "\t" + table.score.astype(str) + "\n"
-    )
-    chars = line.view(np.uint32).reshape(len(line), line.itemsize // 4)
-    used = np.arange(chars.shape[1]) < np.strings.str_len(line)[:, None]
+def write_detections(path, table: DetectionTable) -> None:
+    """One detection per line: video id, start, end, class, score."""
+    names = table.video_ids
+    columns = (getattr(table, name).tolist() for name in _COLUMNS)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(chars[used].astype("<u4").tobytes().decode("utf-32-le"))
+        for v, s, e, c, x in zip(*columns):
+            fh.write(f"{names[v]}\t{s}\t{e}\t{c}\t{x!r}\n")
 
 
 def load_detections(path) -> DetectionTable:

@@ -394,7 +394,7 @@ def test_criterion_8_evaluation_oracle():
         worst = max(worst, abs(result.map_at(thr) - expected))
     decay_ok = False
     dets = [localize.Detection("v", 0, 9, 1, 0.9), localize.Detection("v", 0, 9, 1, 0.8)]
-    out = list(localize.soft_nms(dets, sigma=0.5, score_floor=0.0))
+    out = list(localize.soft_nms(localize.detection_table(dets), sigma=0.5, score_floor=0.0))
     decay_ok = abs(out[1].score - 0.8 * math.exp(-2.0)) <= 1e-9
     report(
         "criterion-8",

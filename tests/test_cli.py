@@ -247,7 +247,7 @@ class TestEvaluate:
             for inst in v.instances
         ]
         det_path = tmp_path / "perfect.tsv"
-        localize.write_detections(det_path, detections)
+        localize.write_detections(det_path, localize.detection_table(detections))
         out = tmp_path / "eval"
         assert main([
             "evaluate", "--config", tiny_config_file,

@@ -108,18 +108,18 @@ class TestGenerateCandidates:
 class TestSoftNms:
     def test_disjoint_unchanged(self):
         dets = [det(start=0, end=4, score=0.9), det(start=10, end=14, score=0.8)]
-        out = soft_nms(dets, sigma=0.5, score_floor=0.0)
+        out = soft_nms(detection_table(dets), sigma=0.5, score_floor=0.0)
         assert sorted(d.score for d in out) == [0.8, 0.9]
 
     def test_identical_boxes_decay(self):
         dets = [det(score=0.9), det(score=0.8)]
-        out = list(soft_nms(dets, sigma=0.5, score_floor=0.0))
+        out = list(soft_nms(detection_table(dets), sigma=0.5, score_floor=0.0))
         assert out[0].score == pytest.approx(0.9)
         assert out[1].score == pytest.approx(0.8 * math.exp(-2.0), abs=1e-9)
         assert out[1].score == pytest.approx(0.10827, abs=1e-5)
 
     def test_single_detection(self):
-        [kept] = soft_nms([det(score=0.4)], sigma=0.5, score_floor=0.1)
+        [kept] = soft_nms(detection_table([det(score=0.4)]), sigma=0.5, score_floor=0.1)
         assert kept.score == 0.4
 
     def test_never_increases_scores(self):
@@ -128,7 +128,7 @@ class TestSoftNms:
         for _ in range(20):
             s, e = sorted(rng.integers(0, 30, size=2))
             dets.append(det(start=s, end=e, score=float(rng.random())))
-        out = soft_nms(dets, sigma=0.3, score_floor=0.0)
+        out = soft_nms(detection_table(dets), sigma=0.3, score_floor=0.0)
         originals = {(d.start, d.end): d.score for d in dets}
         for d in out:
             assert d.score <= originals[(d.start, d.end)] + 1e-12
@@ -136,7 +136,7 @@ class TestSoftNms:
     def test_sigma_to_zero_is_hard_nms(self):
         dets = [det(start=0, end=9, score=0.9), det(start=1, end=10, score=0.85),
                 det(start=20, end=29, score=0.5)]
-        out = soft_nms(dets, sigma=1e-9, score_floor=0.01)
+        out = soft_nms(detection_table(dets), sigma=1e-9, score_floor=0.01)
         spans = {(d.start, d.end) for d in out}
         assert spans == {(0, 9), (20, 29)}
 
@@ -263,7 +263,7 @@ class TestAgainstLoopReferences:
             rows += rows[: int(rng.integers(0, 3))]  # exact duplicates
             sigma = float(rng.choice([0.05, 0.3, 0.5, 2.0]))
             floor = float(rng.choice([0.0, 1.0, 0.1, rng.random()]))
-            got = soft_nms([Detection("v", *row) for row in rows], sigma, floor)
+            got = soft_nms(detection_table([Detection("v", *row) for row in rows]), sigma, floor)
             assert [(d.start, d.end, d.class_idx, d.score) for d in got] == [
                 kept for cls in (1, 2)
                 for kept in reference_soft_nms([r for r in rows if r[2] == cls], sigma, floor)
@@ -354,7 +354,7 @@ def test_load_detections_rejects_malformed_lines(tmp_path):
 def test_detection_dump_round_trip(tmp_path):
     dets = [det("video-a", 3, 17, 2, 0.123456789012345), det("video-b", 0, 4, 1, 1.0)]
     path = tmp_path / "dets.tsv"
-    write_detections(path, dets)
+    write_detections(path, detection_table(dets))
     loaded = load_detections(path)
     assert list(loaded) == dets
 
@@ -382,7 +382,7 @@ def test_soft_nms_many_groups_against_oracle():
     assert sum(1 for r in rows if (r[0], r[3]) == ("b", 2)) >= 320
     for sigma in (0.05, 0.5, 2.0):
         for floor in (0.0, 1.0):
-            got = soft_nms([Detection(*row) for row in rows], sigma, floor)
+            got = soft_nms(detection_table([Detection(*row) for row in rows]), sigma, floor)
             want = []
             for v, cls in groups:
                 group = [r[1:] for r in rows if r[0] == videos[v] and r[3] == cls]
