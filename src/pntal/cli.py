@@ -398,7 +398,7 @@ def _cmd_subspace_audit(config: ExperimentConfig, out: Path) -> List[Tuple[str, 
             params, benchmark.labeled, benchmark.unlabeled, config, sealed=benchmark.sealed
         )
     with _stage(stage_s, "annotate"):
-        pool = selftrain.build_unlabeled_pool(benchmark.unlabeled, config, benchmark.sealed)
+        pool = selftrain.build_pool(benchmark.unlabeled, config, benchmark.sealed)
         if not pool.size:
             raise selftrain.MissingGroundTruthError("no annotated snippets")
         ann = selftrain.assign_annotation(params, pool.features, config)

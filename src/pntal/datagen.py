@@ -25,6 +25,7 @@ output is independent of generation order.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Dict, List
@@ -165,12 +166,11 @@ def place_instances(rng, n_snippets: int, class_count: int) -> List[ActionInstan
 
 def prototype_siblings(class_count: int) -> Dict[int, List[int]]:
     """Same-group classes (1-based) for every class id."""
-    out: Dict[int, List[int]] = {}
-    for start in range(0, class_count, PROTOTYPE_GROUP_SIZE):
-        group = list(range(start + 1, min(start + PROTOTYPE_GROUP_SIZE, class_count) + 1))
-        for cls in group:
-            out[cls] = [c for c in group if c != cls]
-    return out
+    return {
+        cls + 1: [c + 1 for c in group if c != cls]
+        for group in _class_groups(class_count)
+        for cls in group
+    }
 
 
 SIBLING_BLEND_RANGE = (0.42, 0.50)  # strictly below 0.5: own prototype stays nearest
@@ -304,18 +304,22 @@ def write_feature_file(path, videos, class_count: int, feature_dim: int) -> None
 
 
 class _Reader:
-    def __init__(self, path):
-        with open(path, "rb") as fh:
-            self.data = memoryview(fh.read())  # slices are views, not copies
+    """Reads a container from its open file one field at a time. Each read is
+    checked against the file's size before it is made, so a corrupt count
+    fails without a large allocation."""
+
+    def __init__(self, fh, path):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.offset = 0
         self.path = path
 
-    def take(self, n: int, context: str) -> memoryview:
-        if self.offset + n > len(self.data):
+    def take(self, n: int, context: str) -> bytes:
+        chunk = self.fh.read(n) if self.offset + n <= self.size else b""
+        if len(chunk) != n:
             raise CorruptRecordError(
                 f"{self.path}: truncated while reading {context} at byte offset {self.offset}"
             )
-        chunk = self.data[self.offset : self.offset + n]
         self.offset += n
         return chunk
 
@@ -329,7 +333,11 @@ def load_feature_file(path) -> List[VideoRecord]:
     Any corruption raises this module's errors (CorruptRecordError names the
     byte offset or the video).
     """
-    reader = _Reader(path)
+    with open(path, "rb") as fh:
+        return _read_videos(_Reader(fh, path), path)
+
+
+def _read_videos(reader: _Reader, path) -> List[VideoRecord]:
     magic, version, feature_dim, class_count, video_count = reader.unpack(_HEADER, "header")
     if magic != MAGIC:
         raise BadMagicError(f"{path}: bad magic {magic!r}")
@@ -376,9 +384,9 @@ def load_feature_file(path) -> List[VideoRecord]:
             videos.append(VideoRecord(video_id, features, tuple(instances), bool(labeled)))
         except ValueError as exc:
             raise CorruptRecordError(f"{path}: {exc}") from exc
-    if reader.offset != len(reader.data):
+    if reader.offset != reader.size:
         raise CorruptRecordError(
-            f"{path}: {len(reader.data) - reader.offset} trailing bytes at offset {reader.offset}"
+            f"{path}: {reader.size - reader.offset} trailing bytes at offset {reader.offset}"
         )
     return videos
 

@@ -201,6 +201,13 @@ def generate_candidates(
     )
 
 
+def _tiou(s, e, gs, ge):
+    """Elementwise tIoU of the inclusive snippet spans [s, e] and [gs, ge];
+    0.0 where they do not overlap."""
+    inter = np.minimum(e, ge) - np.maximum(s, gs) + 1
+    return np.where(inter > 0, inter / ((e - s + 1) + (ge - gs + 1) - inter), 0.0)
+
+
 def soft_nms(table: DetectionTable, sigma: float, score_floor: float) -> DetectionTable:
     """Gaussian-decay Soft-NMS within every (video, class) group, all groups at once.
 
@@ -233,11 +240,9 @@ def soft_nms(table: DetectionTable, sigma: float, score_floor: float) -> Detecti
         stay[pick] = False
         ks, ke = np.repeat(start[rows[pick]], size)[stay], np.repeat(end[rows[pick]], size)[stay]
         rows = rows[stay]
-        s, e = start[rows], end[rows]
-        inter = np.minimum(e, ke) - np.maximum(s, ks) + 1
-        hit = inter > 0  # else the factor is exactly 1.0
-        inter = inter[hit]
-        iou = inter / ((ke - ks + 1)[hit] + (e - s + 1)[hit] - inter)
+        iou = _tiou(ks, ke, start[rows], end[rows])
+        hit = iou > 0.0  # else the factor is exactly 1.0
+        iou = iou[hit]
         exponent, where = np.unique(-(iou * iou) / sigma, return_inverse=True)
         score[rows[hit]] *= np.array([math.exp(x) for x in exponent.tolist()])[where]
     out = np.concatenate(kept)
@@ -303,10 +308,7 @@ def _greedy_hits(det: np.ndarray, gt: np.ndarray, grid: np.ndarray) -> np.ndarra
     slot = np.arange(count[at].max())
     valid = slot < count[at, None]
     inst = order[first[at, None] + np.where(valid, slot, 0)]
-    s, e = det[rows, 1, None], det[rows, 2, None]
-    gs, ge = gt[inst, 1], gt[inst, 2]
-    inter = np.minimum(e, ge) - np.maximum(s, gs) + 1
-    iou = np.where(valid & (inter > 0), inter / ((e - s + 1) + (ge - gs + 1) - inter), 0.0)
+    iou = np.where(valid, _tiou(det[rows, 1, None], det[rows, 2, None], gt[inst, 1], gt[inst, 2]), 0.0)
     touching = iou.max(axis=1) > 0.0
     rows, iou, inst = rows[touching], iou[touching], inst[touching]
     if not rows.size:

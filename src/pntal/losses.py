@@ -10,6 +10,12 @@ finite at degenerate predictions. Each operation returns the loss together
 with its analytic gradient with respect to the classification logits (or the
 mask scores); clamped entries contribute zero gradient so the analytic
 gradients agree with finite differences of the clamped losses.
+
+What each row learns from is one ``Supervision``: whether the row is
+ground truth, its hard target, its negative and positive masks, its mask-head
+target (NaN for none) and, optionally, a soft label. Training builds one for
+the labeled pool per phase and one for the unlabeled pool per epoch, then
+takes each step's rows from both with ``Supervision.stack``.
 """
 
 from __future__ import annotations
@@ -62,26 +68,55 @@ class LossBreakdown:
     total: float
 
 
-@dataclass(eq=False)
-class BatchArrays:
-    """Array view of one training batch.
+def _one_hot(targets: np.ndarray, k: int) -> np.ndarray:
+    out = np.zeros((len(targets), k))
+    out[np.arange(len(targets)), targets - 1] = 1.0
+    return out
 
-    probs/mask_scores come from the model (a training step builds the rest
-    first, with None there, and fills them after its forward pass); labeled
-    flags which rows are ground-truth supervised. targets holds 1-based hard target ids; neg/pos
-    masks hold subspace membership per row (all-False where unused). soft is
-    an optional (N, K) soft-label matrix whose finite rows replace the hard
-    target term. mask_targets uses NaN for rows without mask supervision.
+
+@dataclass(eq=False)
+class Supervision:
+    """Frozen per-row supervision, for a pool or for one step's rows.
+
+    labeled flags ground-truth rows; targets holds 1-based hard target ids;
+    neg/pos masks hold subspace membership per row (all-False where unused).
+    mask_targets is NaN for rows without mask supervision. soft, when given,
+    is an (N, K) matrix of label distributions that replaces the one-hot
+    target rows in the target term.
     """
 
-    probs: np.ndarray
-    mask_scores: np.ndarray
-    labeled: np.ndarray
-    targets: np.ndarray
-    neg_mask: np.ndarray
-    pos_mask: np.ndarray
-    mask_targets: np.ndarray
-    soft: Optional[np.ndarray] = None
+    labeled: np.ndarray  # (N,) bool
+    targets: np.ndarray  # (N,) int
+    neg_mask: np.ndarray  # (N, K) bool
+    pos_mask: np.ndarray  # (N, K) bool
+    mask_targets: np.ndarray  # (N,) float
+    soft: Optional[np.ndarray] = None  # (N, K) or None
+
+    @classmethod
+    def stack(cls, parts) -> "Supervision":
+        """The (supervision, rows) parts' rows, stacked in part order.
+
+        The result has a soft label only if some part does; then the rows of
+        the parts without one get one-hot rows of their targets.
+        """
+
+        def gather(name):
+            return np.concatenate([getattr(sup, name)[rows] for sup, rows in parts])
+
+        soft = None
+        if any(sup.soft is not None for sup, _ in parts):
+            soft = np.concatenate([
+                _one_hot(sup.targets[rows], sup.neg_mask.shape[1]) if sup.soft is None else sup.soft[rows]
+                for sup, rows in parts
+            ])
+        return cls(
+            labeled=gather("labeled"),
+            targets=gather("targets"),
+            neg_mask=gather("neg_mask"),
+            pos_mask=gather("pos_mask"),
+            mask_targets=gather("mask_targets"),
+            soft=soft,
+        )
 
 
 def _cross_entropy(p, log_p, w):
@@ -93,38 +128,34 @@ def _cross_entropy(p, log_p, w):
     return -(w * log_p).sum(axis=1), w_active.sum(axis=1, keepdims=True) * p - w_active
 
 
-def batch_terms(arrays: BatchArrays, alpha: float):
+def batch_terms(probs: np.ndarray, mask_scores: np.ndarray, supervision: Supervision, alpha: float):
     """Loss breakdown plus gradients w.r.t. logits and mask scores.
 
     Supervised rows average with weight 1/N_labeled, unsupervised rows with
     alpha/N_unsupervised, mask BCE with 1/N_masked; the returned gradients are
     exactly the gradients of breakdown.total.
     """
-    p = arrays.probs
+    p = probs
     n = len(p)
-    labeled = arrays.labeled
+    labeled = supervision.labeled
     n_lab = int(labeled.sum())
     n_uns = n - n_lab
     log_p = np.log(np.maximum(p, CLAMP))
 
-    # Target term: cross-entropy against a one-hot row, or the soft row.
-    target_w = np.zeros_like(p)
-    target_w[np.arange(n), arrays.targets - 1] = 1.0
-    if arrays.soft is not None:
-        soft_rows = np.isfinite(arrays.soft).all(axis=1, keepdims=True)
-        target_w = np.where(soft_rows, arrays.soft, target_w)
+    # Target term: cross-entropy against the soft rows, or one-hot rows.
+    target_w = _one_hot(supervision.targets, p.shape[1]) if supervision.soft is None else supervision.soft
     tgt_rows, grad = _cross_entropy(p, log_p, target_w)
 
     # Negative term: -sum_c m_c log(1 - p_c), clamped entries frozen.
     q = 1.0 - p
-    mneg = arrays.neg_mask.astype(np.float64)
+    mneg = supervision.neg_mask.astype(np.float64)
     neg_active = q > CLAMP
     neg_rows = -(mneg * np.log(np.maximum(q, CLAMP))).sum(axis=1)
     w = np.where(neg_active, mneg * p / np.where(neg_active, q, 1.0), 0.0)
     grad += w - p * w.sum(axis=1, keepdims=True)
 
     # Positive term: -sum_c m_c log p_c.
-    pos_rows, pos_grad = _cross_entropy(p, log_p, arrays.pos_mask.astype(np.float64))
+    pos_rows, pos_grad = _cross_entropy(p, log_p, supervision.pos_mask.astype(np.float64))
     grad += pos_grad
 
     lab_w = 1.0 / n_lab if n_lab else 0.0
@@ -143,12 +174,12 @@ def batch_terms(arrays: BatchArrays, alpha: float):
 
     # Mask BCE, averaged separately over ground-truth and pseudo targets; the
     # pseudo part carries the unsupervised weight like every unlabeled term.
-    masked = np.isfinite(arrays.mask_targets)
+    masked = np.isfinite(supervision.mask_targets)
     grad_mask = np.zeros(n)
     mask_comp = 0.0
     for rows_sel, weight in ((masked & labeled, 1.0), (masked & ~labeled, alpha)):
         if rows_sel.any():
-            part, g = mask_loss(arrays.mask_scores[rows_sel], arrays.mask_targets[rows_sel])
+            part, g = mask_loss(mask_scores[rows_sel], supervision.mask_targets[rows_sel])
             mask_comp += weight * part
             grad_mask[rows_sel] = weight * g
 

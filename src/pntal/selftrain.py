@@ -14,8 +14,17 @@ The objective knob selects what unlabeled snippets learn from:
   soft-pseudo      cross-entropy against the full sharpened distribution
   complementary    target CE + negative loss on one random non-target class
 
-Ground-truth snippets always receive target CE and the mask loss; they add
-negative loss over all non-target classes under hybrid and target-negative.
+assign_annotation reaches these through three rules over the partition's
+masks: the negatives stay under NEGATIVE_OBJECTIVES (hybrid and
+target-negative) and the positives under hybrid alone, the rest are cleared;
+complementary then marks its one pick negative, and soft-pseudo carries the
+sharpened rows as soft labels. Ground-truth snippets always receive target CE
+and the mask loss; under NEGATIVE_OBJECTIVES they add negative loss over all
+non-target classes.
+
+Supervision is one type, losses.Supervision, built once per phase for the
+labeled pool and once per epoch for the unlabeled pool; each step stacks its
+rows from both, in the order its features are gathered.
 
 Labeled and unlabeled snippets share one pool type and one builder,
 ``build_pool``. Its labels come from a map of video id to action instances:
@@ -34,7 +43,6 @@ assign_annotation computes this for every row at once.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
@@ -63,6 +71,10 @@ PRETRAIN_FIELDS = (
     "class_count", "feature_dim", "feature_window", "hidden_width",
     "pretrain_epochs", "learning_rate", "batch_size", "seed",
 )
+
+# The objectives whose rows keep their negatives: the partition's negatives
+# for pseudo-labeled rows, every non-target class for ground-truth rows.
+NEGATIVE_OBJECTIVES = ("hybrid", "target-negative")
 
 
 class EmptyLabeledSetError(Error, ValueError):
@@ -106,16 +118,6 @@ class Pool:
         return len(self.features)
 
 
-@dataclass(eq=False)
-class PseudoAnnotation:
-    """Frozen per-epoch pseudo supervision in array form."""
-
-    targets: np.ndarray  # (N,)
-    neg_mask: np.ndarray  # (N, K) bool
-    pos_mask: np.ndarray  # (N, K) bool
-    soft: Optional[np.ndarray]  # (N, K) or None
-
-
 def build_pool(
     videos: Sequence[VideoRecord],
     config: ExperimentConfig,
@@ -144,8 +146,29 @@ def _labeled_pool(videos: Sequence[VideoRecord], config: ExperimentConfig) -> Po
     return build_pool(videos, config, {v.video_id: v.instances for v in videos})
 
 
-# The name the benchmark calls for unlabeled videos.
+# The name perfbench/ calls build_pool by; the package itself does not use it.
 build_unlabeled_pool = build_pool
+
+
+def _supervision(targets, neg_mask, pos_mask, labeled: bool, soft=None) -> losses.Supervision:
+    """Rows of one kind, ground truth or pseudo-labeled; each row's mask
+    target is 1 iff its target is an action class (not the background)."""
+    return losses.Supervision(
+        labeled=np.full(len(targets), labeled),
+        targets=targets,
+        neg_mask=neg_mask,
+        pos_mask=pos_mask,
+        mask_targets=(targets != neg_mask.shape[1]).astype(np.float64),
+        soft=soft,
+    )
+
+
+def _ground_truth(pool: Pool, config: ExperimentConfig, negatives: bool) -> losses.Supervision:
+    """A labeled pool's supervision: its true classes, with every non-target
+    class negative when ``negatives``."""
+    classes = np.arange(1, config.label_count + 1)
+    neg_mask = (pool.labels[:, None] != classes) & negatives
+    return _supervision(pool.labels, neg_mask, np.zeros_like(neg_mask), labeled=True)
 
 
 def sharpen_rows(probs: np.ndarray, temperature: float) -> np.ndarray:
@@ -183,45 +206,27 @@ def _complement_picks(
 
 def assign_annotation(
     params: model.ModelParams, features: np.ndarray, config: ExperimentConfig, epoch: int = 0
-) -> PseudoAnnotation:
-    """Pseudo supervision arrays for a feature matrix under the active objective."""
-    if features.shape[0] == 0:
-        k = config.label_count
-        return PseudoAnnotation(
-            targets=np.zeros(0, dtype=np.int64),
-            neg_mask=np.zeros((0, k), dtype=bool),
-            pos_mask=np.zeros((0, k), dtype=bool),
-            soft=None,
-        )
+) -> losses.Supervision:
+    """Pseudo supervision of a feature matrix's rows under the active objective
+    (the three rules of the module docstring)."""
     probs, _, _ = model.forward_batch(params, features)
     sharpened = sharpen_rows(probs, config.sharpen_temperature)
     targets, neg_mask, pos_mask = partition_rows(sharpened, config.positive_confidence_ratio)
 
     objective = config.objective
-    if objective == "hybrid":
-        pass
-    elif objective == "target-negative":
-        pos_mask = np.zeros_like(pos_mask)
-    elif objective == "target-only":
-        neg_mask = np.zeros_like(neg_mask)
-        pos_mask = np.zeros_like(pos_mask)
+    if objective not in NEGATIVE_OBJECTIVES:
+        neg_mask[:] = False
+    if objective != "hybrid":
+        pos_mask[:] = False
+    soft = None
+    if objective == "complementary":
+        picks = _complement_picks(features, config.seed, epoch, config.label_count, targets)
+        neg_mask[np.arange(len(picks)), picks - 1] = True
     elif objective == "soft-pseudo":
         # Full-distribution CE against the same tempered distribution the
         # partition pipeline produces as its pseudo-label.
-        return PseudoAnnotation(
-            targets=targets,
-            neg_mask=np.zeros_like(neg_mask),
-            pos_mask=np.zeros_like(pos_mask),
-            soft=sharpened,
-        )
-    elif objective == "complementary":
-        neg_mask = np.zeros_like(neg_mask)
-        pos_mask = np.zeros_like(pos_mask)
-        picks = _complement_picks(features, config.seed, epoch, config.label_count, targets)
-        neg_mask[np.arange(len(picks)), picks - 1] = True
-    else:  # pragma: no cover - config validation rejects unknown objectives
-        raise ValueError(f"unknown objective {objective!r}")
-    return PseudoAnnotation(targets=targets, neg_mask=neg_mask, pos_mask=pos_mask, soft=None)
+        soft = sharpened
+    return _supervision(targets, neg_mask, pos_mask, labeled=False, soft=soft)
 
 
 @dataclass(frozen=True)
@@ -241,7 +246,7 @@ class SubspaceStats:
         return (self.target_rate, self.positive_rate, self.negative_rate, self.ambiguous_rate)
 
 
-def subspace_statistics(annotation: PseudoAnnotation, true_labels: np.ndarray) -> SubspaceStats:
+def subspace_statistics(annotation: losses.Supervision, true_labels: np.ndarray) -> SubspaceStats:
     """Where the true class of each annotated row lands in its partition.
 
     The four rates cover the whole label space, so they sum to one.
@@ -308,57 +313,6 @@ def _epoch_batches(rng, pool_size: int, batch_size: int) -> List[np.ndarray]:
     return [perm[i : i + batch_size] for i in range(0, pool_size, batch_size)]
 
 
-def _mixed_step_arrays(
-    labeled_pool: Pool,
-    lab_rows: np.ndarray,
-    uns_rows: np.ndarray,
-    ann: Optional[PseudoAnnotation],
-    labeled_negative: bool,
-    label_count: int,
-) -> losses.BatchArrays:
-    """One step's supervision: labeled rows first, then unlabeled ones.
-
-    It reads only the pools and the frozen annotation, never the model, so it
-    is built before the forward pass; _train_step fills in the predictions.
-    """
-    n_lab, n_uns = len(lab_rows), len(uns_rows)
-    n = n_lab + n_uns
-    labeled = np.zeros(n, dtype=bool)
-    labeled[:n_lab] = True
-    targets = np.zeros(n, dtype=np.int64)
-    neg_mask = np.zeros((n, label_count), dtype=bool)
-    pos_mask = np.zeros((n, label_count), dtype=bool)
-    soft = None
-
-    if n_lab:
-        gt = labeled_pool.labels[lab_rows]
-        targets[:n_lab] = gt
-        if labeled_negative:
-            neg = np.ones((n_lab, label_count), dtype=bool)
-            neg[np.arange(n_lab), gt - 1] = False
-            neg_mask[:n_lab] = neg
-    if n_uns:
-        targets[n_lab:] = ann.targets[uns_rows]
-        neg_mask[n_lab:] = ann.neg_mask[uns_rows]
-        pos_mask[n_lab:] = ann.pos_mask[uns_rows]
-        if ann.soft is not None:
-            soft = np.full((n, label_count), np.nan)
-            soft[n_lab:] = ann.soft[uns_rows]
-    # Every row's mask target, true or pseudo: the snippet is foreground iff
-    # its target is an action class.
-    mask_targets = (targets != label_count).astype(np.float64)
-    return losses.BatchArrays(
-        probs=None,
-        mask_scores=None,
-        labeled=labeled,
-        targets=targets,
-        neg_mask=neg_mask,
-        pos_mask=pos_mask,
-        mask_targets=mask_targets,
-        soft=soft,
-    )
-
-
 def _gather_features(work: model.Workspace, parts) -> np.ndarray:
     """The (features, rows) parts' rows, stacked in order into work.features."""
     n = 0
@@ -370,11 +324,14 @@ def _gather_features(work: model.Workspace, parts) -> np.ndarray:
     return work.features[:n]
 
 
-def _train_step(work: model.Workspace, features, supervision, learning_rate, alpha):
-    """Forward, hybrid loss against the fixed supervision, backward, update."""
+def _train_step(work: model.Workspace, parts, learning_rate, alpha):
+    """One step over the (features, supervision, rows) parts' rows, stacked in
+    part order: forward, hybrid loss against the frozen supervision, backward,
+    update."""
+    features = _gather_features(work, [(x, rows) for x, _, rows in parts])
+    supervision = losses.Supervision.stack([(sup, rows) for _, sup, rows in parts])
     probs, scores, _ = model.forward_batch(work.params, features, work)
-    arrays = dataclasses.replace(supervision, probs=probs, mask_scores=scores)
-    breakdown, grad_logits, grad_mask = losses.batch_terms(arrays, alpha)
+    breakdown, grad_logits, grad_mask = losses.batch_terms(probs, scores, supervision, alpha)
     model.backward_batch(work, features, grad_logits, grad_mask)
     model.step(work, learning_rate)
     return breakdown
@@ -406,16 +363,14 @@ def pretrain(labeled_videos: Sequence[VideoRecord], config: ExperimentConfig) ->
     if not labeled_videos:
         raise EmptyLabeledSetError("pretraining needs at least one labeled video")
     pool = _labeled_pool(labeled_videos, config)
+    truth = _ground_truth(pool, config, negatives=True)
     params = model.init_params(config.model_input_dim, config.hidden_width, config.label_count, config.seed)
     work = model.Workspace(params, rows=min(config.batch_size, pool.size))
-    no_rows = np.zeros(0, dtype=np.int64)
     for epoch in range(config.pretrain_epochs):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_PRETRAIN, epoch]))
         for rows in _epoch_batches(rng, pool.size, config.batch_size):
-            supervision = _mixed_step_arrays(pool, rows, no_rows, None, True, config.label_count)
-            features = _gather_features(work, [(pool.features, rows)])
             # Every row is labeled, so no unsupervised weight applies.
-            _train_step(work, features, supervision, config.learning_rate, alpha=0.0)
+            _train_step(work, [(pool.features, truth, rows)], config.learning_rate, alpha=0.0)
     return work.snapshot()
 
 
@@ -434,8 +389,8 @@ def self_train_loop(
     from one pretrained model.
     """
     labeled_pool = _labeled_pool(labeled_videos, config)
+    truth = _ground_truth(labeled_pool, config, config.objective in NEGATIVE_OBJECTIVES)
     unlabeled_pool = build_pool(unlabeled_videos, config, sealed)
-    labeled_negative = config.objective in ("hybrid", "target-negative")
     work = model.Workspace(params)
     metrics: List[EpochMetrics] = []
 
@@ -463,15 +418,8 @@ def self_train_loop(
         work.reserve(max((len(l) + len(u) for l, u in zip(lab_batches, uns_chunks)), default=0))
         step_losses = []
         for lab_rows, uns_rows in zip(lab_batches, uns_chunks):
-            supervision = _mixed_step_arrays(
-                labeled_pool, lab_rows, uns_rows, ann, labeled_negative, config.label_count
-            )
-            features = _gather_features(
-                work, [(labeled_pool.features, lab_rows), (unlabeled_pool.features, uns_rows)]
-            )
-            step_losses.append(
-                _train_step(work, features, supervision, lr, config.unlabeled_loss_weight)
-            )
+            parts = [(labeled_pool.features, truth, lab_rows), (unlabeled_pool.features, ann, uns_rows)]
+            step_losses.append(_train_step(work, parts, lr, config.unlabeled_loss_weight))
         work.release()
 
         metrics.append(

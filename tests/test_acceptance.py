@@ -14,9 +14,9 @@ import pytest
 from pntal import datagen, localize, model, selftrain
 from pntal.cli import main, run_experiment
 from pntal.core import ExperimentConfig
-from pntal.losses import BatchArrays, batch_terms, mask_loss
+from pntal.losses import Supervision, batch_terms, mask_loss
 from pntal.partition import partition_rows
-from pntal.selftrain import assign_annotation, build_unlabeled_pool
+from pntal.selftrain import assign_annotation, build_pool
 
 from oracles import (
     brute_force_average_precision,
@@ -193,11 +193,11 @@ def test_criterion_3_gradient_suite():
 
         def total(p, work=None):
             probs, scores, hidden = model.forward_batch(p, x, work)
-            arrays = BatchArrays(
-                probs=probs, mask_scores=scores, labeled=labeled, targets=targets,
-                neg_mask=neg_mask, pos_mask=pos_mask, mask_targets=mask_targets,
+            sup = Supervision(
+                labeled=labeled, targets=targets, neg_mask=neg_mask, pos_mask=pos_mask,
+                mask_targets=mask_targets,
             )
-            breakdown, gl, gm = batch_terms(arrays, alpha=0.7)
+            breakdown, gl, gm = batch_terms(probs, scores, sup, alpha=0.7)
             return breakdown.total, gl, gm, hidden
 
         work = model.Workspace(params, rows=n)
@@ -307,7 +307,7 @@ def test_criterion_4_loss_ablation_trend(matrix):
 def test_criterion_5_subspace_audit(matrix):
     config = ExperimentConfig()
     bench = datagen.generate_benchmark(config)
-    pool = build_unlabeled_pool(bench.unlabeled, config, bench.sealed)
+    pool = build_pool(bench.unlabeled, config, bench.sealed)
     params = matrix["results"]["hybrid-seed0"].params
     ann = assign_annotation(params, pool.features, config)
     stats = selftrain.subspace_statistics(ann, pool.labels)

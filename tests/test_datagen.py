@@ -193,6 +193,16 @@ class TestFeatureContainer:
             load_feature_file(path)
         assert "offset" in str(err.value)
 
+    def test_trailing_bytes_report_count_and_offset(self, tmp_path):
+        cfg = small_config()
+        bench = generate_benchmark(cfg)
+        path = tmp_path / "features.bin"
+        write_feature_file(path, bench.labeled[:1], cfg.class_count, cfg.feature_dim)
+        data = path.read_bytes()
+        path.write_bytes(data + b"\x00" * 5)
+        with pytest.raises(CorruptRecordError, match=f"5 trailing bytes at offset {len(data)}$"):
+            load_feature_file(path)
+
     def test_value_count_mismatch_names_video(self, tmp_path):
         cfg = small_config()
         bench = generate_benchmark(cfg)

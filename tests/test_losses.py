@@ -6,8 +6,8 @@ import pytest
 
 from pntal.core import ExperimentConfig
 from pntal.losses import (
-    BatchArrays,
     LengthMismatchError,
+    Supervision,
     batch_terms,
     mask_loss,
 )
@@ -16,18 +16,18 @@ from oracles import assert_gradients_close, finite_difference, softmax_list
 
 
 def _batch(probs, mask_scores, rows, mask_targets=None):
-    """BatchArrays with one row per probability vector.
+    """batch_terms' (probs, mask scores, supervision) for one row per
+    probability vector.
 
     A row is ("gt", class), ("pseudo", target, negatives, positives) or
     ("soft", soft_label). A ground-truth row takes every non-target class as
-    negative, as under the hybrid and target-negative objectives.
+    negative, as under the hybrid and target-negative objectives. Beside a
+    soft row, the other rows carry one-hot soft labels.
     """
     n, k = len(rows), len(probs[0])
     if mask_targets is None:
         mask_targets = [None] * n
-    arrays = BatchArrays(
-        probs=np.array(probs, dtype=np.float64),
-        mask_scores=np.asarray(mask_scores, dtype=np.float64),
+    sup = Supervision(
         labeled=np.array([row[0] == "gt" for row in rows]),
         targets=np.zeros(n, dtype=np.int64),
         neg_mask=np.zeros((n, k), dtype=bool),
@@ -36,20 +36,23 @@ def _batch(probs, mask_scores, rows, mask_targets=None):
     )
     for i, row in enumerate(rows):
         if row[0] == "gt":
-            arrays.targets[i] = row[1]
-            arrays.neg_mask[i] = True
-            arrays.neg_mask[i, row[1] - 1] = False
+            sup.targets[i] = row[1]
+            sup.neg_mask[i] = True
+            sup.neg_mask[i, row[1] - 1] = False
         elif row[0] == "pseudo":
             _, target, negatives, positives = row
-            arrays.targets[i] = target
-            arrays.neg_mask[i, [c - 1 for c in negatives]] = True
-            arrays.pos_mask[i, [c - 1 for c in positives]] = True
+            sup.targets[i] = target
+            sup.neg_mask[i, [c - 1 for c in negatives]] = True
+            sup.pos_mask[i, [c - 1 for c in positives]] = True
         else:
-            if arrays.soft is None:
-                arrays.soft = np.full((n, k), np.nan)
-            arrays.soft[i] = row[1]
-            arrays.targets[i] = int(np.argmax(row[1])) + 1
-    return arrays
+            if sup.soft is None:
+                sup.soft = np.zeros((n, k))
+            sup.soft[i] = row[1]
+            sup.targets[i] = int(np.argmax(row[1])) + 1
+    if sup.soft is not None:
+        hard = np.array([row[0] != "soft" for row in rows])
+        sup.soft[hard, sup.targets[hard] - 1] = 1.0
+    return np.array(probs, dtype=np.float64), np.asarray(mask_scores, dtype=np.float64), sup
 
 
 def _one_row(probs, target, negatives=(), positives=()):
@@ -58,8 +61,8 @@ def _one_row(probs, target, negatives=(), positives=()):
     The breakdown's target, negative and positive fields are the row's three
     loss terms; the gradient is that of their sum.
     """
-    arrays = _batch([probs], [0.5], [("pseudo", target, set(negatives), set(positives))])
-    breakdown, grad, _ = batch_terms(arrays, alpha=1.0)
+    batch = _batch([probs], [0.5], [("pseudo", target, set(negatives), set(positives))])
+    breakdown, grad, _ = batch_terms(*batch, alpha=1.0)
     return breakdown, grad[0]
 
 
@@ -195,7 +198,7 @@ def test_gradients_match_finite_differences(case):
             fn = _target_fn(target)
         elif case == "soft":
             q = rng.dirichlet(np.ones(k))
-            _, grad, _ = batch_terms(_batch([probs], [0.5], [("soft", q)]), alpha=1.0)
+            _, grad, _ = batch_terms(*_batch([probs], [0.5], [("soft", q)]), alpha=1.0)
             grad = grad[0]
             fn = lambda z: -sum(
                 qc * math.log(max(pc, 1e-12)) for qc, pc in zip(q, softmax_list(z))
@@ -217,8 +220,8 @@ def test_gradients_match_finite_differences(case):
         assert_gradients_close(grad, numeric)
 
 
-def _loss(arrays, config):
-    breakdown, _, _ = batch_terms(arrays, alpha=config.unlabeled_loss_weight)
+def _loss(batch, config):
+    breakdown, _, _ = batch_terms(*batch, alpha=config.unlabeled_loss_weight)
     return breakdown
 
 
@@ -226,6 +229,50 @@ def _batch_fixture():
     probs = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]
     rows = [("gt", 1), ("pseudo", 2, {1}, {3}), ("pseudo", 3, set(), set())]
     return rows, probs, [1.0, None, None]
+
+
+def _supervision(labeled, targets, k, soft=None):
+    """Rows of one kind with the given targets and random masks."""
+    targets = np.asarray(targets, dtype=np.int64)
+    n = len(targets)
+    rng = np.random.default_rng(n)
+    return Supervision(
+        labeled=np.full(n, labeled),
+        targets=targets,
+        neg_mask=rng.random((n, k)) < 0.5,
+        pos_mask=rng.random((n, k)) < 0.5,
+        mask_targets=rng.random(n) if labeled else np.full(n, np.nan),
+        soft=soft,
+    )
+
+
+class TestSupervisionStack:
+    def test_rows_in_part_order(self):
+        a = _supervision(True, [1, 2, 3, 4, 2], 4)
+        b = _supervision(False, [4, 3, 1], 4)
+        rows_a, rows_b = np.array([4, 0, 2]), np.array([1, 2])
+        out = Supervision.stack([(a, rows_a), (b, rows_b)])
+        for name in ("labeled", "targets", "neg_mask", "pos_mask", "mask_targets"):
+            want = np.concatenate([getattr(a, name)[rows_a], getattr(b, name)[rows_b]])
+            assert np.array_equal(getattr(out, name), want, equal_nan=name == "mask_targets")
+        assert out.soft is None
+
+    def test_hard_part_beside_soft_part_gets_one_hot_rows(self):
+        q = np.random.default_rng(3).dirichlet(np.ones(4), size=3)
+        a = _supervision(True, [2, 4], 4)
+        b = _supervision(False, [1, 1, 3], 4, soft=q)
+        out = Supervision.stack([(a, np.array([1, 0])), (b, np.array([2, 0]))])
+        assert np.array_equal(out.soft, np.vstack([np.eye(4)[[3, 1]], q[[2, 0]]]))
+
+    def test_empty_parts(self):
+        a = _supervision(True, [2, 4], 4)
+        b = _supervision(False, [1, 3], 4, soft=np.full((2, 4), 0.25))
+        none = np.zeros(0, dtype=np.int64)
+        out = Supervision.stack([(a, none), (b, none)])
+        assert out.targets.shape == out.labeled.shape == out.mask_targets.shape == (0,)
+        assert out.neg_mask.shape == out.pos_mask.shape == out.soft.shape == (0, 4)
+        out = Supervision.stack([(a, np.array([1])), (b, none)])
+        assert np.array_equal(out.targets, [4]) and np.array_equal(out.soft, np.eye(4)[[3]])
 
 
 class TestCombinedLoss:
@@ -285,7 +332,7 @@ def _check_batch_against_per_row_ops(unlabeled_rows):
     neg_mask = np.zeros((n, k), dtype=bool)
     pos_mask = np.zeros((n, k), dtype=bool)
     mask_targets = np.full(n, np.nan)
-    soft = np.full((n, k), np.nan) if unlabeled_rows == "soft" else None
+    soft = np.zeros((n, k)) if unlabeled_rows == "soft" else None
     for i in range(n):
         if labeled[i]:
             neg_mask[i] = True
@@ -301,16 +348,16 @@ def _check_batch_against_per_row_ops(unlabeled_rows):
                 neg_mask[i, c - 1] = True
             for c in others[2:3]:
                 pos_mask[i, c - 1] = True
+    if soft is not None:
+        soft[labeled, targets[labeled] - 1] = 1.0  # ground-truth rows' one-hot soft labels
     assert 0 < labeled.sum() < n
     alpha = 0.6
+    sup = Supervision(
+        labeled=labeled, targets=targets, neg_mask=neg_mask, pos_mask=pos_mask,
+        mask_targets=mask_targets, soft=soft,
+    )
 
-    def arrays_for(p):
-        return BatchArrays(
-            probs=p, mask_scores=scores, labeled=labeled, targets=targets,
-            neg_mask=neg_mask, pos_mask=pos_mask, mask_targets=mask_targets, soft=soft,
-        )
-
-    breakdown, _, _ = batch_terms(arrays_for(probs), alpha=alpha)
+    breakdown, _, _ = batch_terms(probs, scores, sup, alpha=alpha)
 
     n_lab = labeled.sum()
     n_uns = n - n_lab
@@ -333,10 +380,10 @@ def _check_batch_against_per_row_ops(unlabeled_rows):
         z = np.asarray(flat).reshape(n, k)
         p = np.exp(z - z.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
-        return batch_terms(arrays_for(p), alpha=alpha)[0].total
+        return batch_terms(p, scores, sup, alpha=alpha)[0].total
 
     logits = np.log(probs)
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    _, grad2, _ = batch_terms(arrays_for(shifted / shifted.sum(axis=1, keepdims=True)), alpha=alpha)
+    _, grad2, _ = batch_terms(shifted / shifted.sum(axis=1, keepdims=True), scores, sup, alpha=alpha)
     numeric = finite_difference(total_from_logits, list(logits.ravel()), h=1e-6)
     assert_gradients_close(grad2.ravel(), numeric, rel_tol=1e-4, abs_tol=1e-7)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pntal import model
-from pntal.losses import BatchArrays, batch_terms
+from pntal.losses import Supervision, batch_terms
 from pntal.model import (
     CheckpointFormatError,
     ModelParams,
@@ -346,16 +346,14 @@ def test_training_sanity_two_class():
     for step_idx in range(200):
         rows = rng.integers(0, n, size=64)
         probs, scores, _ = forward_batch(work.params, x[rows], work)
-        arrays = BatchArrays(
-            probs=probs,
-            mask_scores=scores,
+        sup = Supervision(
             labeled=np.ones(len(rows), dtype=bool),
             targets=labels[rows],
             neg_mask=np.zeros((len(rows), 3), dtype=bool),
             pos_mask=np.zeros((len(rows), 3), dtype=bool),
             mask_targets=np.full(len(rows), np.nan),
         )
-        _, gl, gm = batch_terms(arrays, alpha=0.0)
+        _, gl, gm = batch_terms(probs, scores, sup, alpha=0.0)
         backward_batch(work, x[rows], gl, gm)
         step(work, learning_rate=5e-3)
     probs, _, _ = forward_batch(work.snapshot(), x)

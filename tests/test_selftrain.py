@@ -6,13 +6,12 @@ import pytest
 
 from pntal import datagen, model, selftrain
 from pntal.core import ExperimentConfig, VideoRecord
-from pntal.losses import BatchArrays, batch_terms
+from pntal.losses import Supervision, batch_terms
 from pntal.selftrain import (
     EmptyLabeledSetError,
     MissingGroundTruthError,
-    PseudoAnnotation,
     assign_annotation,
-    build_unlabeled_pool,
+    build_pool,
     pretrain,
     self_train_loop,
     sharpen_rows,
@@ -326,7 +325,7 @@ class TestSubspaceStatistics:
         bench = datagen.generate_benchmark(cfg.replace(noise_sigma=0.0, ambiguous_ratio=0.0,
                                                        distractor_ratio=0.0))
         # craft annotations equal to ground truth
-        truths = build_unlabeled_pool(bench.unlabeled, cfg, bench.sealed).labels
+        truths = build_pool(bench.unlabeled, cfg, bench.sealed).labels
         neg_mask = np.zeros((len(truths), cfg.label_count), dtype=bool)
         pos_mask = np.zeros((len(truths), cfg.label_count), dtype=bool)
         for i, t in enumerate(truths):
@@ -334,7 +333,10 @@ class TestSubspaceStatistics:
             negatives = brute_force_negatives(row)
             neg_mask[i, [c - 1 for c in negatives]] = True
             pos_mask[i, [c - 1 for c in brute_force_positives(row, negatives, 0.85)]] = True
-        ann = PseudoAnnotation(targets=truths, neg_mask=neg_mask, pos_mask=pos_mask, soft=None)
+        ann = Supervision(
+            labeled=np.zeros(len(truths), dtype=bool), targets=truths, neg_mask=neg_mask,
+            pos_mask=pos_mask, mask_targets=np.full(len(truths), np.nan),
+        )
         stats = subspace_statistics(ann, truths)
         assert stats.target_rate == pytest.approx(1.0)
         assert stats.positive_rate == 0.0
@@ -345,7 +347,7 @@ class TestSubspaceStatistics:
         # (first non-target in sorted order), positives = rest.
         cfg = small_config(sharpen_temperature=1.0)
         bench = datagen.generate_benchmark(cfg)
-        pool = build_unlabeled_pool(bench.unlabeled, cfg, bench.sealed)
+        pool = build_pool(bench.unlabeled, cfg, bench.sealed)
         params = bias_model([0.2] * 5, cfg.model_input_dim)
         stats = subspace_statistics(assign_annotation(params, pool.features, cfg), pool.labels)
         truths = pool.labels
@@ -358,7 +360,7 @@ class TestSubspaceStatistics:
         cfg = small_config()
         bench = datagen.generate_benchmark(cfg)
         params = pretrain(bench.labeled, cfg)
-        pool = build_unlabeled_pool(bench.unlabeled, cfg, bench.sealed)
+        pool = build_pool(bench.unlabeled, cfg, bench.sealed)
         stats = subspace_statistics(assign_annotation(params, pool.features, cfg), pool.labels)
         assert sum(stats.rates()) == pytest.approx(1.0, abs=1e-9)
 
@@ -366,7 +368,7 @@ class TestSubspaceStatistics:
         cfg = small_config()
         bench = datagen.generate_benchmark(cfg)
         with pytest.raises(MissingGroundTruthError):
-            build_unlabeled_pool(bench.unlabeled[:1], cfg, {})
+            build_pool(bench.unlabeled[:1], cfg, {})
 
 
 class TestSelfTrainLoop:
@@ -425,16 +427,11 @@ class TestSelfTrainLoop:
         cfg = small_config()
         bench = datagen.generate_benchmark(cfg)
         params = pretrain(bench.labeled, cfg)
-        feats = build_unlabeled_pool(bench.unlabeled[:2], cfg).features
+        feats = build_pool(bench.unlabeled[:2], cfg).features
         ann = assign_annotation(params, feats, cfg)
         probs, scores, _ = model.forward_batch(params, feats)
-        arrays = BatchArrays(
-            probs=probs, mask_scores=scores, labeled=np.zeros(len(feats), dtype=bool),
-            targets=ann.targets, neg_mask=ann.neg_mask, pos_mask=ann.pos_mask,
-            mask_targets=np.full(len(feats), np.nan),
-        )
-        first = batch_terms(arrays, alpha=cfg.unlabeled_loss_weight)[0]
-        second = batch_terms(arrays, alpha=cfg.unlabeled_loss_weight)[0]
+        first = batch_terms(probs, scores, ann, alpha=cfg.unlabeled_loss_weight)[0]
+        second = batch_terms(probs, scores, ann, alpha=cfg.unlabeled_loss_weight)[0]
         assert first == second
 
 
