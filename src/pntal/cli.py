@@ -180,13 +180,6 @@ def _labeled_report(*per_dataset: List[int]) -> List[Tuple[str, object]]:
     ]
 
 
-def _evaluation_report(detections, result: localize.EvalResult) -> List[Tuple[str, object]]:
-    """Manifest lines for a scored run: detection count and per-class AP at each tIoU."""
-    report: List[Tuple[str, object]] = [("detections", len(detections))]
-    report.extend((f"ap_tiou_{thr:g}_class_{cls}", ap) for thr, cls, ap in result.per_class)
-    return report
-
-
 def write_map_csv(path: Path, result: localize.EvalResult) -> None:
     rows = [[f"{thr:g}", value] for thr, value in result.per_threshold]
     rows.append(["average", result.average_map])
@@ -201,6 +194,7 @@ def write_map_csv(path: Path, result: localize.EvalResult) -> None:
 @dataclass(eq=False)
 class ExperimentResult:
     config: ExperimentConfig
+    benchmark: datagen.Benchmark
     params: model.ModelParams
     metrics: List[selftrain.EpochMetrics]
     detections: localize.DetectionTable
@@ -216,9 +210,44 @@ def _stage(stage_s: Dict[str, float], name: str):
     stage_s[name] = stage_s.get(name, 0.0) + time.perf_counter() - started
 
 
-def _stage_report(stage_s: Dict[str, float]) -> List[Tuple[str, object]]:
-    """Manifest lines: each stage's wall time, in run order."""
-    return [(f"stage_s_{name}", round(seconds, 6)) for name, seconds in stage_s.items()]
+def _generate(config: ExperimentConfig, stage_s: Dict[str, float]) -> datagen.Benchmark:
+    with _stage(stage_s, "generate"):
+        return datagen.generate_benchmark(config)
+
+
+def _train(config, benchmark, params, stage_s):
+    """Pretrain (unless params are given), then self-train: (params, metrics)."""
+    if params is None:
+        with _stage(stage_s, "pretrain"):
+            params = selftrain.pretrain(benchmark.labeled, config)
+    with _stage(stage_s, "selftrain"):
+        return selftrain.self_train_loop(
+            params, benchmark.labeled, benchmark.unlabeled, config, sealed=benchmark.sealed
+        )
+
+
+def _score(config, benchmark, params, detections, stage_s):
+    """Detect with params (unless detections are given), then score them
+    against the test videos: (detections, evaluation)."""
+    if detections is None:
+        with _stage(stage_s, "detect"):
+            detections = localize.detect_videos(params, benchmark.test, config)
+    with _stage(stage_s, "score"):
+        return detections, localize.mean_average_precision(
+            detections, localize.ground_truth_map(benchmark.test), config.tiou_grid
+        )
+
+
+def _report(config, benchmark, stage_s, scored=None) -> List[Tuple[str, object]]:
+    """A command's manifest lines: each class's labeled instance count; for
+    a scored run (detections, evaluation) its detection count and per-class
+    AP at each tIoU; then each stage's wall time, in run order."""
+    report = _labeled_report(_labeled_counts(benchmark, config.class_count))
+    if scored is not None:
+        detections, evaluation = scored
+        report.append(("detections", len(detections)))
+        report.extend((f"ap_tiou_{thr:g}_class_{cls}", ap) for thr, cls, ap in evaluation.per_class)
+    return report + [(f"stage_s_{name}", round(seconds, 6)) for name, seconds in stage_s.items()]
 
 
 def run_experiment(
@@ -229,24 +258,12 @@ def run_experiment(
     """Generate data (unless given), pretrain (unless params are given), self-train, evaluate."""
     stage_s: Dict[str, float] = {}
     if benchmark is None:
-        with _stage(stage_s, "generate"):
-            benchmark = datagen.generate_benchmark(config)
-    if params is None:
-        with _stage(stage_s, "pretrain"):
-            params = selftrain.pretrain(benchmark.labeled, config)
-    with _stage(stage_s, "selftrain"):
-        params, metrics = selftrain.self_train_loop(
-            params, benchmark.labeled, benchmark.unlabeled, config, sealed=benchmark.sealed
-        )
-    with _stage(stage_s, "detect"):
-        detections = localize.detect_videos(params, benchmark.test, config)
-    with _stage(stage_s, "score"):
-        evaluation = localize.mean_average_precision(
-            detections, localize.ground_truth_map(benchmark.test), config.tiou_grid
-        )
+        benchmark = _generate(config, stage_s)
+    params, metrics = _train(config, benchmark, params, stage_s)
+    detections, evaluation = _score(config, benchmark, params, None, stage_s)
     return ExperimentResult(
-        config=config, params=params, metrics=metrics, detections=detections,
-        evaluation=evaluation, stage_s=stage_s,
+        config=config, benchmark=benchmark, params=params, metrics=metrics,
+        detections=detections, evaluation=evaluation, stage_s=stage_s,
     )
 
 
@@ -266,33 +283,28 @@ def _sweep(
 ) -> List[Tuple[str, object]]:
     """Run each (label, overrides) variant on consecutive seeds; write a CSV.
 
-    Each seed's dataset is generated once and shared by every variant: the
-    overrides (objective, lambda) are not inputs to generate_benchmark. So is
-    its pretrained model, among variants whose overrides leave
-    selftrain.PRETRAIN_FIELDS alone; self_train_loop never writes into it.
-    Each variant's seed rows are followed by its mean row. Returns the
-    manifest lines: the seeds, each seed's labeled instance counts, and each
-    stage's wall time per seed (stage_s_generate, stage_s_pretrain, then
-    stage_s_<variant>_<stage> for the selftrain, detect and score stages of
-    each variant).
+    A variant overrides only the self-training stage (objective, lambda), so
+    each seed's dataset is generated once and its model pretrained once, and
+    every variant of that seed self-trains from that model; self_train_loop
+    never writes into it. Each variant's seed rows are followed by its mean
+    row. Returns the manifest lines: the seeds, each seed's labeled instance
+    counts, and each stage's wall time per seed (stage_s_generate,
+    stage_s_pretrain, then stage_s_<variant>_<stage> for the selftrain,
+    detect and score stages of each variant).
     """
     seed_list = [config.seed + i for i in range(seeds)]
     maps: List[List[float]] = [[] for _ in variants]
     stage_s: Dict[str, List[float]] = {}  # manifest key -> one wall time per seed
     labeled_counts = []
     for seed in seed_list:
+        seed_config = config.replace(seed=seed)
         seed_s: Dict[str, float] = {}
-        with _stage(seed_s, "generate"):
-            benchmark = datagen.generate_benchmark(config.replace(seed=seed))
+        benchmark = _generate(seed_config, seed_s)
         labeled_counts.append(_labeled_counts(benchmark, config.class_count))
-        pretrained: Dict[tuple, model.ModelParams] = {}
+        with _stage(seed_s, "pretrain"):
+            params = selftrain.pretrain(benchmark.labeled, seed_config)
         for values, (label, overrides) in zip(maps, variants):
-            variant = config.replace(seed=seed, **overrides)
-            key = selftrain.pretrain_key(variant)
-            if key not in pretrained:
-                with _stage(seed_s, "pretrain"):
-                    pretrained[key] = selftrain.pretrain(benchmark.labeled, variant)
-            result = run_experiment(variant, benchmark=benchmark, params=pretrained[key])
+            result = run_experiment(seed_config.replace(**overrides), benchmark, params)
             values.append(result.evaluation.average_map)
             seed_s.update((f"{label}_{name}", seconds) for name, seconds in result.stage_s.items())
         for name, seconds in seed_s.items():
@@ -321,13 +333,12 @@ def _cmd_generate(config: ExperimentConfig, out: Path) -> List[Tuple[str, object
         for inst in benchmark.sealed[vid]:
             sealed_rows.append([vid, inst.start, inst.end, inst.class_idx])
     write_csv(out / "sealed_truth.csv", ("video_id", "start", "end", "class"), sealed_rows)
-    return _labeled_report(_labeled_counts(benchmark, config.class_count))
+    return _report(config, benchmark, {})
 
 
 def _cmd_pretrain(config: ExperimentConfig, out: Path) -> List[Tuple[str, object]]:
     stage_s: Dict[str, float] = {}
-    with _stage(stage_s, "generate"):
-        benchmark = datagen.generate_benchmark(config)
+    benchmark = _generate(config, stage_s)
     with _stage(stage_s, "pretrain"):
         params = selftrain.pretrain(benchmark.labeled, config)
     model.save_params(params, out / "checkpoint.txt")
@@ -336,31 +347,25 @@ def _cmd_pretrain(config: ExperimentConfig, out: Path) -> List[Tuple[str, object
         ["test_accuracy", selftrain.snippet_accuracy(params, benchmark.test, config)],
     ]
     write_csv(out / "pretrain_metrics.csv", ("metric", "value"), rows)
-    return _labeled_report(_labeled_counts(benchmark, config.class_count)) + _stage_report(stage_s)
+    return _report(config, benchmark, stage_s)
 
 
 def _cmd_selftrain(
     config: ExperimentConfig, out: Path, params_path: Optional[str]
 ) -> List[Tuple[str, object]]:
     params = None if params_path is None else _load_checkpoint(params_path, config)
-    stage_s: Dict[str, float] = {}
-    with _stage(stage_s, "generate"):
-        benchmark = datagen.generate_benchmark(config)
-    result = run_experiment(config, benchmark=benchmark, params=params)
-    stage_s.update(result.stage_s)
+    result = run_experiment(config, params=params)
     model.save_params(result.params, out / "checkpoint.txt")
     write_metrics_jsonl(out / "metrics.jsonl", result.metrics)
     localize.write_detections(out / "detections.tsv", result.detections)
     write_map_csv(out / "map.csv", result.evaluation)
-    report = _labeled_report(_labeled_counts(benchmark, config.class_count))
-    report += _evaluation_report(result.detections, result.evaluation)
-    return report + _stage_report(stage_s)
+    return _report(config, result.benchmark, result.stage_s, (result.detections, result.evaluation))
 
 
 def _cmd_evaluate(
     config: ExperimentConfig, out: Path, params_path, detections_path
 ) -> List[Tuple[str, object]]:
-    params = None
+    params = detections = None
     if detections_path is not None:
         if not Path(detections_path).is_file():
             raise MissingArtifactError(detections_path, "detections file")
@@ -368,19 +373,12 @@ def _cmd_evaluate(
     else:
         params = _load_checkpoint(params_path, config)
     stage_s: Dict[str, float] = {}
-    with _stage(stage_s, "generate"):
-        benchmark = datagen.generate_benchmark(config)
+    benchmark = _generate(config, stage_s)
+    detections, evaluation = _score(config, benchmark, params, detections, stage_s)
     if params is not None:
-        with _stage(stage_s, "detect"):
-            detections = localize.detect_videos(params, benchmark.test, config)
         localize.write_detections(out / "detections.tsv", detections)
-    with _stage(stage_s, "score"):
-        result = localize.mean_average_precision(
-            detections, localize.ground_truth_map(benchmark.test), config.tiou_grid
-        )
-    write_map_csv(out / "map.csv", result)
-    report = _labeled_report(_labeled_counts(benchmark, config.class_count))
-    return report + _evaluation_report(detections, result) + _stage_report(stage_s)
+    write_map_csv(out / "map.csv", evaluation)
+    return _report(config, benchmark, stage_s, (detections, evaluation))
 
 
 def _cmd_subspace_audit(config: ExperimentConfig, out: Path) -> List[Tuple[str, object]]:
@@ -388,19 +386,16 @@ def _cmd_subspace_audit(config: ExperimentConfig, out: Path) -> List[Tuple[str, 
         raise losses.UnresolvedSupervisionError(
             f"objective {config.objective} assigns no label-space partition"
         )
-    stage_s: Dict[str, float] = {}
-    with _stage(stage_s, "generate"):
-        benchmark = datagen.generate_benchmark(config)
-    with _stage(stage_s, "pretrain"):
-        params = selftrain.pretrain(benchmark.labeled, config)
-    with _stage(stage_s, "selftrain"):
-        params, _ = selftrain.self_train_loop(
-            params, benchmark.labeled, benchmark.unlabeled, config, sealed=benchmark.sealed
+    if datagen.labeled_video_count(config) == config.train_video_count:
+        raise selftrain.MissingGroundTruthError(
+            f"labeled_ratio {config.labeled_ratio} labels all train_video_count "
+            f"{config.train_video_count} videos: no unlabeled video to audit"
         )
+    stage_s: Dict[str, float] = {}
+    benchmark = _generate(config, stage_s)
+    params, _ = _train(config, benchmark, None, stage_s)
     with _stage(stage_s, "annotate"):
         pool = selftrain.build_pool(benchmark.unlabeled, config, benchmark.sealed)
-        if not pool.size:
-            raise selftrain.MissingGroundTruthError("no annotated snippets")
         ann = selftrain.assign_annotation(params, pool.features, config)
     stats = selftrain.subspace_statistics(ann, pool.labels)
     rows = [
@@ -414,7 +409,7 @@ def _cmd_subspace_audit(config: ExperimentConfig, out: Path) -> List[Tuple[str, 
         ["snippet_count", stats.snippet_count],
     ]
     write_csv(out / "subspace.csv", ("subspace", "ground_truth_rate"), rows)
-    return _labeled_report(_labeled_counts(benchmark, config.class_count)) + _stage_report(stage_s)
+    return _report(config, benchmark, stage_s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared domain types: action instances, videos, config, and the row softmax.
+"""Shared domain types: action instances, videos, config, the row softmax and
+the model's input matrix of a video.
 
 Class ids are 1-based throughout the public API: action classes are 1..C and
 the background class is C+1. Class distributions are the rows of plain
@@ -242,7 +243,7 @@ class ExperimentConfig:
 
     @property
     def model_input_dim(self) -> int:
-        """Model input width after optional fixed-window feature concatenation."""
+        """Width of video_feature_matrix(video, feature_window)."""
         return self.feature_dim * (2 * self.feature_window + 1)
 
     def replace(self, **kwargs) -> "ExperimentConfig":
@@ -254,6 +255,28 @@ class ExperimentConfig:
             v = getattr(self, f.name)
             out[f.name] = list(v) if isinstance(v, tuple) else v
         return out
+
+
+def video_feature_matrix(video: VideoRecord, window: int = 0) -> np.ndarray:
+    """The model's input rows of a video: its features, optionally
+    concatenating a +-window context.
+
+    Window 0 returns the video's read-only array itself, uncopied.
+    Out-of-range context positions contribute zero vectors.
+    """
+    base = video.features
+    if window == 0:
+        return base
+    n = len(base)
+    parts = []
+    for off in range(-window, window + 1):
+        # part for offset o holds base[t + o], zero where t + o is out of range
+        shifted = np.zeros_like(base)
+        dst = slice(max(0, -off), n - max(0, off))
+        src = slice(max(0, off), n - max(0, -off))
+        shifted[dst] = base[src]
+        parts.append(shifted)
+    return np.concatenate(parts, axis=1)
 
 
 def snippet_true_labels(instances, n_snippets: int, background_index: int) -> np.ndarray:

@@ -233,6 +233,11 @@ def _make_video(video_id, rng, protos, config, labeled: bool):
     return record, tuple(instances)
 
 
+def labeled_video_count(config: ExperimentConfig) -> int:
+    """How many of the training videos generate_benchmark labels: at least one."""
+    return max(1, int(round(config.labeled_ratio * config.train_video_count)))
+
+
 def generate_benchmark(config: ExperimentConfig) -> Benchmark:
     """Build the train/test splits; deterministic under config.seed."""
     protos = class_prototypes(
@@ -240,8 +245,7 @@ def generate_benchmark(config: ExperimentConfig) -> Benchmark:
     )
     split_rng = _video_rng(config.seed, _STREAM_SPLIT, 0)
     order = split_rng.permutation(config.train_video_count)
-    n_labeled = max(1, int(round(config.labeled_ratio * config.train_video_count)))
-    labeled_ids = set(int(i) for i in order[:n_labeled])
+    labeled_ids = set(int(i) for i in order[: labeled_video_count(config)])
 
     labeled, unlabeled = [], []
     sealed: Dict[str, tuple] = {}

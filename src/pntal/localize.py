@@ -47,7 +47,7 @@ from typing import Dict, Mapping, Sequence, Union
 import numpy as np
 
 from . import model
-from .core import ActionInstance, Error, ExperimentConfig, VideoRecord
+from .core import ActionInstance, Error, ExperimentConfig, VideoRecord, video_feature_matrix
 
 
 class MalformedDetectionError(Error, ValueError):
@@ -267,12 +267,6 @@ class EvalResult:
     per_class: tuple  # ((tiou, class_idx, AP), ...)
     skipped_classes: tuple  # detection classes with no ground truth
 
-    def map_at(self, tiou: float) -> float:
-        for thr, value in self.per_threshold:
-            if thr == tiou:
-                return value
-        raise KeyError(tiou)
-
 
 def _average_precision(tp: np.ndarray, npos: int) -> float:
     """All-points interpolated area under the precision-recall curve of ranked hits."""
@@ -386,8 +380,6 @@ def mean_average_precision(
 def _video_candidates(
     params: model.ModelParams, video: VideoRecord, config: ExperimentConfig
 ) -> DetectionTable:
-    from .selftrain import video_feature_matrix
-
     probs, scores, _ = model.forward_batch(
         params, video_feature_matrix(video, config.feature_window)
     )

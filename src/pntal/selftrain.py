@@ -55,6 +55,7 @@ from .core import (
     VideoRecord,
     snippet_true_labels,
     softmax_rows,
+    video_feature_matrix,
 )
 from .partition import partition_rows
 
@@ -62,15 +63,6 @@ _STREAM_PRETRAIN = 0xA11
 _STREAM_LABELED = 0xB22
 _STREAM_UNLABELED = 0xC33
 _STREAM_COMPLEMENT = 0xD44
-
-# Every ExperimentConfig field pretrain reads. Configs that agree on these get
-# bit-identical pretrained params from the same labeled videos, so a sweep
-# pretrains once per seed for variants that differ only elsewhere (objective,
-# lambda). A field pretrain starts to read belongs here.
-PRETRAIN_FIELDS = (
-    "class_count", "feature_dim", "feature_window", "hidden_width",
-    "pretrain_epochs", "learning_rate", "batch_size", "seed",
-)
 
 # The objectives whose rows keep their negatives: the partition's negatives
 # for pseudo-labeled rows, every non-target class for ground-truth rows.
@@ -82,28 +74,7 @@ class EmptyLabeledSetError(Error, ValueError):
 
 
 class MissingGroundTruthError(Error, KeyError):
-    pass
-
-
-def video_feature_matrix(video: VideoRecord, window: int = 0) -> np.ndarray:
-    """The video's features, optionally concatenating a +-window context.
-
-    Window 0 returns the video's read-only array itself, uncopied.
-    Out-of-range context positions contribute zero vectors.
-    """
-    base = video.features
-    if window == 0:
-        return base
-    n, d = base.shape
-    parts = []
-    for off in range(-window, window + 1):
-        # part for offset o holds base[t + o], zero where t + o is out of range
-        shifted = np.zeros_like(base)
-        dst = slice(max(0, -off), n - max(0, off))
-        src = slice(max(0, off), n - max(0, -off))
-        shifted[dst] = base[src]
-        parts.append(shifted)
-    return np.concatenate(parts, axis=1)
+    __str__ = Exception.__str__  # the message as given, not KeyError's quoted repr
 
 
 @dataclass(eq=False)
@@ -242,9 +213,6 @@ class SubspaceStats:
     negative_rate_given_miss: float
     snippet_count: int
 
-    def rates(self) -> tuple:
-        return (self.target_rate, self.positive_rate, self.negative_rate, self.ambiguous_rate)
-
 
 def subspace_statistics(annotation: losses.Supervision, true_labels: np.ndarray) -> SubspaceStats:
     """Where the true class of each annotated row lands in its partition.
@@ -350,15 +318,11 @@ def _mean_breakdown(parts: List[losses.LossBreakdown]) -> losses.LossBreakdown:
     )
 
 
-def pretrain_key(config: ExperimentConfig) -> tuple:
-    """The values of PRETRAIN_FIELDS: equal keys, equal pretrain output."""
-    return tuple(getattr(config, name) for name in PRETRAIN_FIELDS)
-
-
 def pretrain(labeled_videos: Sequence[VideoRecord], config: ExperimentConfig) -> model.ModelParams:
     """Supervised pretraining: target CE + all-non-target negative loss + mask BCE.
 
-    It reads only the config fields named in PRETRAIN_FIELDS.
+    It reads neither the objective nor lambda, so a sweep's variants of one
+    seed share one pretrained model.
     """
     if not labeled_videos:
         raise EmptyLabeledSetError("pretraining needs at least one labeled video")

@@ -276,7 +276,6 @@ def matrix():
         ablation_runtime += time.perf_counter() - started
         for kind, value, overrides in MATRIX_VARIANTS:
             variant = seed_config.replace(**overrides)
-            assert selftrain.pretrain_key(variant) == selftrain.pretrain_key(seed_config)
             started = time.perf_counter()
             result = run_experiment(variant, benchmark=bench, params=params)
             if value in ABLATION:
@@ -391,7 +390,7 @@ def test_criterion_8_evaluation_oracle():
             cls_gt = [("v", i.start, i.end) for i in instances if i.class_idx == cls]
             aps.append(brute_force_average_precision(cls_dets, cls_gt, thr))
         expected = float(np.mean(aps)) if aps else 0.0
-        worst = max(worst, abs(result.map_at(thr) - expected))
+        worst = max(worst, abs(dict(result.per_threshold)[thr] - expected))
     decay_ok = False
     dets = [localize.Detection("v", 0, 9, 1, 0.9), localize.Detection("v", 0, 9, 1, 0.8)]
     out = list(localize.soft_nms(localize.detection_table(dets), sigma=0.5, score_floor=0.0))

@@ -472,6 +472,15 @@ class TestSweeps:
                      "--out", str(tmp_path / "sub")]) == 2
         assert generate_calls == []  # refused before any dataset is built or model trained
 
+    def test_subspace_audit_needs_an_unlabeled_video(self, tiny_config_file, tmp_path, capsys,
+                                                     generate_calls, pretrain_calls):
+        assert main(["subspace-audit", "--config", tiny_config_file, "--labeled-ratio", "1.0",
+                     "--out", str(tmp_path / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pntal: error: labeled_ratio 1.0 ")
+        assert "train_video_count 8" in err and "'" not in err
+        assert generate_calls == [] and pretrain_calls == []
+
     @pytest.mark.parametrize("command,filename,extra,variants", [
         ("ablate-losses", "loss_ablation.csv", [],
          [(o, {"objective": o}) for o in ("target-only", "target-negative", "hybrid")]),
@@ -514,22 +523,6 @@ class TestSweeps:
                 assert float(row[2]) == alone.evaluation.average_map
             mean_row = rows[3 * i + 2]
             assert float(mean_row[2]) == float(np.mean([float(row[2]) for row in seed_rows]))
-
-
-    def test_variant_that_changes_pretrain_gets_its_own(self, tiny_config_file, tmp_path,
-                                                        pretrain_calls):
-        config = load_config(tiny_config_file, {})
-        variants = [("a", {"objective": "target-only"}), ("b", {"batch_size": 16}),
-                    ("c", {"objective": "hybrid"})]
-        report = dict(cli._sweep(config, tmp_path, "sweep.csv", "variant", variants, seeds=2))
-        assert pretrain_calls == [5, 5, 6, 6]
-        assert len(report["stage_s_pretrain"]) == 2
-        rows = [row.split(",") for row in (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]]
-        for (label, overrides), seed_rows in zip(variants, (rows[0:2], rows[3:5], rows[6:8])):
-            for seed, row in zip((5, 6), seed_rows):
-                alone = run_experiment(config.replace(seed=seed, **overrides))
-                assert row[:2] == [label, str(seed)]
-                assert float(row[2]) == alone.evaluation.average_map
 
 
 class TestOutputRoot:

@@ -74,13 +74,15 @@ class TestGenerateBenchmark:
             assert va.features.tobytes() == vb.features.tobytes()
 
     def test_full_labeled_ratio(self):
-        bench = generate_benchmark(small_config(labeled_ratio=1.0))
+        cfg = small_config(labeled_ratio=1.0)
+        bench = generate_benchmark(cfg)
         assert not bench.unlabeled
-        assert len(bench.labeled) == 12
+        assert len(bench.labeled) == datagen.labeled_video_count(cfg) == 12
 
     def test_split_sizes(self):
-        bench = generate_benchmark(small_config(labeled_ratio=0.25))
-        assert len(bench.labeled) == 3
+        cfg = small_config(labeled_ratio=0.25)
+        bench = generate_benchmark(cfg)
+        assert len(bench.labeled) == datagen.labeled_video_count(cfg) == 3
         assert len(bench.unlabeled) == 9
         assert len(bench.test) == 4
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pntal import model
-from pntal.core import ActionInstance, ExperimentConfig, VideoRecord
+from pntal.core import ActionInstance, ExperimentConfig, VideoRecord, video_feature_matrix
 from pntal.localize import (
     Detection,
     DetectionTable,
@@ -35,7 +35,7 @@ def det(video="v", start=0, end=9, cls=1, score=0.5):
 def matches_at(det_span, inst_span, thr):
     """Whether one detection matches one instance at tIoU threshold thr."""
     gt = {"v": (ActionInstance(inst_span[0], inst_span[1], 1),)}
-    return mean_average_precision([det("v", *det_span)], gt, [thr]).map_at(thr) == 1.0
+    return dict(mean_average_precision([det("v", *det_span)], gt, [thr]).per_threshold)[thr] == 1.0
 
 
 class TestTemporalIoU:
@@ -162,14 +162,14 @@ class TestMeanAveragePrecision:
         dets = [det("v", 0, 9, 1, 0.9), det("v", 40, 49, 1, 0.8), det("v", 20, 29, 1, 0.7)]
         result = mean_average_precision(dets, gt, [0.5])
         # PR points: (1, 0.5), (0.5, 0.5), (2/3, 1.0) -> AP = 0.5*1 + 0.5*(2/3)
-        assert result.map_at(0.5) == pytest.approx(5 / 6, abs=1e-9)
+        assert dict(result.per_threshold)[0.5] == pytest.approx(5 / 6, abs=1e-9)
 
     def test_tie_goes_to_first_instance(self):
         # [0, 9] overlaps both instances with tIoU 0.5; the first takes it, so
         # [5, 9] still finds the second and [0, 4] is the false positive.
         gt = {"v": (ActionInstance(0, 4, 1), ActionInstance(5, 9, 1))}
         dets = [det("v", 0, 9, 1, 0.9), det("v", 5, 9, 1, 0.8), det("v", 0, 4, 1, 0.7)]
-        assert mean_average_precision(dets, gt, [0.5]).map_at(0.5) == 1.0
+        assert dict(mean_average_precision(dets, gt, [0.5]).per_threshold)[0.5] == 1.0
 
     def test_input_order_invariance(self):
         rng = np.random.default_rng(3)
@@ -187,7 +187,7 @@ class TestMeanAveragePrecision:
         rescaled = [Detection(d.video_id, d.start, d.end, d.class_idx, 0.1 + 0.5 * d.score**3)
                     for d in dets]
         again = mean_average_precision(rescaled, gt, [0.4])
-        assert base.map_at(0.4) == pytest.approx(again.map_at(0.4), abs=1e-12)
+        assert dict(base.per_threshold)[0.4] == pytest.approx(dict(again.per_threshold)[0.4], abs=1e-12)
 
     def test_skipped_classes_reported(self):
         gt = {"v": (ActionInstance(0, 9, 1),)}
@@ -210,7 +210,7 @@ class TestMeanAveragePrecision:
                           for i in insts if i.class_idx == cls]
                 aps.append(brute_force_average_precision(cls_dets, cls_gt, thr))
             expected = float(np.mean(aps)) if aps else 0.0
-            assert result.map_at(thr) == pytest.approx(expected, abs=1e-9)
+            assert dict(result.per_threshold)[thr] == pytest.approx(expected, abs=1e-9)
 
 
 def _random_grid(rng):
@@ -412,8 +412,6 @@ def _scene_model():
 
 
 def test_detect_videos_against_loop_references():
-    from pntal.selftrain import video_feature_matrix
-
     params, videos, config = _scene_model()
     want = []
     for video in videos:
