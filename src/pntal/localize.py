@@ -7,11 +7,16 @@ final ordering, mAP and the written dump; only iterating a table builds
 Detection rows. Candidate generation sweeps a grid of classification/mask
 threshold pairs: each qualifying seed snippet expands to the maximal
 contiguous run of mask-positive snippets containing it, scored by the seed's
-class probability times the run's mean mask score. Soft-NMS then decays
-overlapping detections within each (video, class) group with a Gaussian
-kernel; one call runs every group at once, in lockstep rounds.
+class probability times the run's mean mask score. detect_videos runs the
+model per video and keeps of its output only each snippet's best action
+probability, that class and the mask score. It then generates every video's
+candidates in one pass per mask threshold over the videos laid end to end,
+with a pad slot between them that no threshold admits, so that no run
+crosses a video boundary. Soft-NMS then decays overlapping detections within
+each (video, class) group with a Gaussian kernel; one call runs every group
+at once, in lockstep rounds.
 
-Three facts keep this path fast and its output byte-identical:
+Four facts keep this path fast and its output byte-identical:
 
 - A candidate's span, class and score do not depend on the classification
   threshold, so only min(classification_thresholds) affects candidates: it
@@ -26,6 +31,13 @@ Three facts keep this path fast and its output byte-identical:
   written in full precision. Each round keeps every group's best remaining
   row, so each row is multiplied by the same factors, in the same order, as
   in a group-by-group loop.
+- Each (span, class) keeps one seed before its run mean multiplies it: the
+  highest probability if the mean is non-negative, the lowest if it is
+  negative. A correctly rounded product is monotone in each factor, so the
+  chosen seed's product is bit for bit the largest of all the seeds'
+  products. A span that is also a run at the next lower mask threshold has
+  the same seeds there, so each span is scored at the lowest threshold where
+  it is a run, and once.
 
 Matching for average precision is greedy in descending score order: a
 detection matches the not-yet-matched ground-truth instance of the same video
@@ -122,16 +134,6 @@ def detection_table(detections: Union[DetectionTable, Sequence[Detection]]) -> D
     )
 
 
-def _concat(parts: Sequence[DetectionTable]) -> DetectionTable:
-    """The parts' rows in order, over all their video ids."""
-    if not parts:
-        return DetectionTable((), [], [], [], [], [])
-    shift = np.cumsum([0] + [len(p.video_ids) for p in parts])
-    columns = [np.concatenate([p.video + k for p, k in zip(parts, shift)])]
-    columns += [np.concatenate([getattr(p, name) for p in parts]) for name in _COLUMNS[1:]]
-    return DetectionTable([name for p in parts for name in p.video_ids], *columns)
-
-
 def _id_codes(ids: Sequence[str], names: Sequence[str]) -> np.ndarray:
     """Each id's position in names, which are sorted, so codes order as ids do."""
     position = {name: i for i, name in enumerate(names)}
@@ -153,6 +155,85 @@ def _run_means(masks: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndar
     return means
 
 
+class _Summaries:
+    """Per-snippet summaries of videos laid end to end: the best action
+    probability, its 1-based class and the mask score.
+
+    A pad slot comes before each video and after the last. Its mask score is
+    NaN, which no threshold admits, so a mask-positive run never crosses from
+    one video into the next. Video k fills offsets[k] up to offsets[k+1] - 1.
+    """
+
+    __slots__ = ("offsets", "best", "best_class", "masks")
+
+    def __init__(self, lengths: Sequence[int]):
+        self.offsets = np.cumsum(np.r_[1, np.add(lengths, 1, dtype=np.int64)])
+        size = int(self.offsets[-1])
+        self.best = np.full(size, np.nan)
+        self.best_class = np.zeros(size, dtype=np.int64)
+        self.masks = np.full(size, np.nan)
+
+    def put(self, k: int, probs: np.ndarray, masks: np.ndarray) -> None:
+        """Video k's (N, C+1) class probabilities, background last, and N mask scores."""
+        at = slice(self.offsets[k], self.offsets[k + 1] - 1)
+        action = probs[:, :-1]
+        self.best[at] = action.max(axis=1)
+        self.best_class[at] = action.argmax(axis=1) + 1
+        self.masks[at] = masks
+
+
+def _candidates(
+    video_ids: Sequence[str],
+    videos: _Summaries,
+    classification_thresholds: Sequence[float],
+    mask_thresholds: Sequence[float],
+) -> DetectionTable:
+    """Threshold-grid candidates of every video at once, one pass per distinct
+    mask threshold; rows in (video, start, end, class) order, one per key."""
+    lowest = min((float(t) for t in classification_thresholds), default=None)
+    levels = np.sort([float(t) for t in set(mask_thresholds)])  # NaN admits nothing, sorts last
+    if lowest is None or not len(levels):
+        return DetectionTable(video_ids, [], [], [], [], [])
+    seeds = videos.best >= lowest
+    classes = int(videos.best_class.max())
+    below = np.ones(len(seeds), dtype=bool)  # the first level has none below it
+    parts = []
+    for level in levels:
+        fg = videos.masks >= level
+        edges = np.diff(fg.view(np.int8))
+        run_start = np.flatnonzero(edges == 1) + 1
+        run_end = np.flatnonzero(edges == -1)
+        # A run that is a run one level below has the same seeds, so the same
+        # candidates, there; levels are nested, so each span is new only once.
+        new = below[run_start - 1] | below[run_end + 1]
+        below = fg
+        picked = np.flatnonzero(fg & seeds)
+        run = np.searchsorted(run_start, picked, side="right") - 1
+        key = run * classes + videos.best_class[picked] - 1
+        # The run mean is not known yet: the highest seed probability scores
+        # best if it is non-negative, the lowest if it is negative.
+        hit = np.zeros(len(run_start) * classes, dtype=bool)
+        hit[key] = True
+        top, low = np.full(len(hit), -np.inf), np.full(len(hit), np.inf)
+        np.maximum.at(top, key, videos.best[picked])
+        np.minimum.at(low, key, videos.best[picked])
+        found = np.flatnonzero(hit)
+        found = found[new[found // classes]]
+        run = found // classes
+        parts.append((run_start[run], run_end[run], found % classes + 1, top[found], low[found]))
+    start, end, cls, top, low = (np.concatenate(column) for column in zip(*parts))
+    order = np.lexsort((cls, end, start))
+    start, end, cls, top, low = start[order], end[order], cls[order], top[order], low[order]
+    span = np.ones(len(start), dtype=bool)
+    span[1:] = (start[1:] != start[:-1]) | (end[1:] != end[:-1])
+    mean = _run_means(videos.masks, start[span], end[span])[np.cumsum(span) - 1]
+    video = np.searchsorted(videos.offsets, start, side="right") - 1
+    at = videos.offsets[video]
+    return DetectionTable(
+        video_ids, video, start - at, end - at, cls, np.where(mean >= 0.0, top, low) * mean
+    )
+
+
 def generate_candidates(
     video_id: str,
     class_probs: np.ndarray,
@@ -164,41 +245,23 @@ def generate_candidates(
 
     class_probs is (N, C+1) with background in the last column. Output is
     de-duplicated on (start, end, class) keeping the best score, and sorted by
-    that key, so it does not depend on threshold ordering.
+    that key, so it does not depend on threshold ordering. class_probs of
+    another shape, or mask_scores that is not N long, raises
+    model.ShapeMismatchError, a ValueError.
     """
     probs = np.asarray(class_probs, dtype=np.float64)
     masks = np.asarray(mask_scores, dtype=np.float64)
-    lowest = min((float(t) for t in classification_thresholds), default=None)
-    if lowest is None:
-        return DetectionTable((video_id,), [], [], [], [], [])
-    action = probs[:, :-1]
-    best = action.max(axis=1)
-    best_class = action.argmax(axis=1) + 1
-    seeds = best >= lowest
-    # One row per mask threshold; runs are found on all rows at once.
-    n = len(masks)
-    width = n + 1
-    fg = masks >= np.array(sorted(set(float(t) for t in mask_thresholds)))[:, None]
-    padded = np.zeros((len(fg), n + 2), dtype=np.int8)
-    padded[:, 1:-1] = fg
-    edges = np.diff(padded, axis=1).ravel()  # row t, snippet p at t * width + p
-    run_start = np.flatnonzero(edges == 1)
-    run_end = np.flatnonzero(edges == -1) - 1
-    rows, picked = np.nonzero(fg & seeds)
-    run = np.searchsorted(run_start, rows * width + picked, side="right") - 1
-    start, end = run_start[run] % width, run_end[run] % width
-    _, first, run_of = np.unique(start * n + end, return_index=True, return_inverse=True)
-    score = best[picked] * _run_means(masks, start[first], end[first])[run_of]
-    cls = best_class[picked]
-    # Sort by (start, end, class, score) and keep the last, best-scored row per key.
-    order = np.lexsort((score, cls, end, start))
-    start, end, cls, score = start[order], end[order], cls[order], score[order]
-    last = np.ones(len(order), dtype=bool)
-    last[:-1] = (start[1:] != start[:-1]) | (end[1:] != end[:-1]) | (cls[1:] != cls[:-1])
-    return DetectionTable(
-        (video_id,), np.zeros(int(last.sum()), dtype=np.int64),
-        start[last], end[last], cls[last], score[last],
-    )
+    if probs.ndim != 2 or probs.shape[1] < 2:
+        raise model.ShapeMismatchError(
+            f"class_probs must be (snippets, classes + 1), got shape {probs.shape}"
+        )
+    if masks.shape != (len(probs),):
+        raise model.ShapeMismatchError(
+            f"class_probs has {len(probs)} rows but mask_scores has shape {masks.shape}"
+        )
+    videos = _Summaries([len(probs)])
+    videos.put(0, probs, masks)
+    return _candidates((video_id,), videos, classification_thresholds, mask_thresholds)
 
 
 def _tiou(s, e, gs, ge):
@@ -377,28 +440,24 @@ def mean_average_precision(
     )
 
 
-def _video_candidates(
-    params: model.ModelParams, video: VideoRecord, config: ExperimentConfig
-) -> DetectionTable:
-    probs, scores, _ = model.forward_batch(
-        params, video_feature_matrix(video, config.feature_window)
-    )
-    return generate_candidates(
-        video.video_id, probs, scores, config.classification_thresholds, config.mask_thresholds
-    )
-
-
 def detect_videos(
     params: model.ModelParams, videos: Sequence[VideoRecord], config: ExperimentConfig
 ) -> DetectionTable:
-    """Model inference and candidate generation per video, then one Soft-NMS
-    call over every (video, class) group; rows ordered by (video id, class,
-    start, end, descending score)."""
-    kept = soft_nms(
-        _concat([_video_candidates(params, video, config) for video in videos]),
-        config.soft_nms_sigma,
-        config.soft_nms_floor,
+    """Model inference per video, reduced at once to per-snippet summaries;
+    then candidates for every video in one pass and one Soft-NMS call over
+    every (video, class) group. Rows are ordered by (video id, class, start,
+    end, descending score)."""
+    summaries = _Summaries([video.snippet_count for video in videos])
+    for k, video in enumerate(videos):
+        probs, scores, _ = model.forward_batch(
+            params, video_feature_matrix(video, config.feature_window)
+        )
+        summaries.put(k, probs, scores)
+    candidates = _candidates(
+        [video.video_id for video in videos], summaries,
+        config.classification_thresholds, config.mask_thresholds,
     )
+    kept = soft_nms(candidates, config.soft_nms_sigma, config.soft_nms_floor)
     video = _id_codes(kept.video_ids, sorted(set(kept.video_ids)))[kept.video]
     return kept.take(np.lexsort((-kept.score, kept.end, kept.start, kept.class_idx, video)))
 

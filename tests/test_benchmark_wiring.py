@@ -25,7 +25,8 @@ import oracles
 import pntal
 import tracing
 import workloads
-from pntal.core import ActionInstance, VideoRecord
+from pntal import localize, model
+from pntal.core import ActionInstance, VideoRecord, video_feature_matrix
 
 root = Path({root!r})
 assert Path(oracles.__file__).parent == root / "perfbench", oracles.__file__
@@ -51,17 +52,24 @@ for name, workload_cls in workloads.WORKLOADS.items():
     assert not problems, (name, problems)
     ready[name] = workload
 
-# A traced localize unit: Soft-NMS takes every candidate in one call and keeps
-# exactly the detections returned; candidates are generated once per video.
+# A traced localize unit: Soft-NMS takes every candidate in one call, as many
+# as the one-video generate_candidates gives over the unit's videos, and keeps
+# exactly the detections returned.
 with tracing.Tracer(workloads.LAYER_POINTS) as tracer:
     tracer.unit = 2
     videos, detections, _ = ready["localize"].unit(2).payload
     tracer.unit = None
 totals = tracer.layer_totals([2])
-cands, nms = totals["localize.generate_candidates"], totals["localize.soft_nms"]
-assert cands["calls"] == len(videos), (cands["calls"], len(videos))
+nms = totals["localize.soft_nms"]
+params, config = ready["localize"].params, ready["localize"].config
+candidates = 0
+for video in videos:
+    probs, scores, _ = model.forward_batch(params, video_feature_matrix(video, config.feature_window))
+    candidates += len(localize.generate_candidates(
+        video.video_id, probs, scores, config.classification_thresholds, config.mask_thresholds
+    ))
 assert nms["calls"] == totals["localize.detect_videos"]["calls"] == 1, nms
-assert nms["in"] == cands["candidates"], (nms["in"], cands["candidates"])
+assert nms["in"] == candidates, (nms["in"], candidates)
 assert nms["kept"] == len(detections), (nms["kept"], len(detections))
 print("ok")
 """

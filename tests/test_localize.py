@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pntal import model
+from pntal import localize, model
 from pntal.core import ActionInstance, ExperimentConfig, VideoRecord, video_feature_matrix
 from pntal.localize import (
     Detection,
@@ -103,6 +103,18 @@ class TestGenerateCandidates:
         mask = np.full(5, 0.9)
         cands = generate_candidates("v", probs, mask, [0.01], [0.5])
         assert all(c.class_idx != 3 for c in cands)
+
+    @pytest.mark.parametrize("probs", [np.full(5, 0.5), np.full((5, 1), 0.5), np.full((5, 2, 2), 0.5)])
+    def test_class_probs_need_action_and_background_columns(self, probs):
+        with pytest.raises(model.ShapeMismatchError, match="class_probs"):
+            generate_candidates("v", probs, np.full(5, 0.9), [0.1], [0.5])
+
+    @pytest.mark.parametrize("n_masks", [1, 4, 6])
+    def test_mask_length_must_match_rows(self, n_masks):
+        # One mask score would otherwise broadcast over all five snippets.
+        probs = np.tile(np.array([0.9, 0.05, 0.05]), (5, 1))
+        with pytest.raises(model.ShapeMismatchError, match=rf"5 rows.*\({n_masks},\)"):
+            generate_candidates("v", probs, np.full(n_masks, 0.9), [0.1], [0.5])
 
 
 class TestSoftNms:
@@ -251,6 +263,42 @@ class TestAgainstLoopReferences:
             assert all(d.video_id == f"v{k}" for d in got)
             long_runs += sum(1 for s, e, _, _ in want if e - s + 1 > 128)
         assert long_runs > 20  # numpy sums more than 128 values in pairwise blocks
+
+    def test_candidates_of_many_videos_bit_equal(self):
+        # One call over about 60 videos: 1-snippet videos, runs longer than
+        # 128 snippets, tied scores, mask-positive runs that touch across a
+        # video boundary, and negative mask scores under a negative threshold,
+        # where the best seed of a run is the one with the lowest probability.
+        rng = np.random.default_rng(13)
+        outputs = []
+        for k in range(60):
+            n = 1 if k % 7 == 0 else int(rng.integers(129, 401)) if k % 9 == 0 else int(rng.integers(2, 40))
+            probs, mask = _random_video_outputs(rng, n)
+            if k % 4 == 1:
+                mask = mask - 0.7
+            outputs.append((probs, mask))
+        for k in (10, 11, 12):  # a run ends on the last snippet, the next video's starts on snippet 0
+            outputs[k][0][[0, -1]] = [0.97, 0.01, 0.01, 0.01]
+            outputs[k][1][[0, -1]] = 0.95
+        grids = [(_random_grid(rng), _random_grid(rng)) for _ in range(4)]
+        grids += [([0.3, 0.1], [0.5, math.nan, 0.2, -0.5]), ([0.0], [-0.9, -0.3, 0.2])]
+        ids = [f"v{k}" for k in range(len(outputs))]
+        boundary_runs = negative = long_runs = 0
+        for cls_grid, mask_grid in grids:
+            videos = localize._Summaries([len(mask) for _, mask in outputs])
+            for k, (probs, mask) in enumerate(outputs):
+                videos.put(k, probs, mask)
+            got = localize._candidates(ids, videos, cls_grid, mask_grid)
+            want = []
+            for k, (probs, mask) in enumerate(outputs):
+                rows = reference_candidates(probs, mask, cls_grid, mask_grid)
+                want += [(ids[k],) + row for row in rows]
+                boundary_runs += sum(1 for s, e, _, _ in rows if s == 0 or e == len(mask) - 1)
+                negative += sum(1 for row in rows if row[3] < 0.0)
+                long_runs += sum(1 for s, e, _, _ in rows if e - s + 1 > 128)
+            assert got.video_ids == tuple(ids)
+            assert [(d.video_id, d.start, d.end, d.class_idx, d.score) for d in got] == want
+        assert boundary_runs > 50 and negative > 50 and long_runs > 5
 
     def test_soft_nms_bit_equal(self):
         rng = np.random.default_rng(12)
