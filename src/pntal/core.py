@@ -1,10 +1,28 @@
-"""Shared domain types: action instances, videos, config, the row softmax and
-the model's input matrix of a video.
+"""Shared domain types: action instances, videos, config, the class-axis
+kernels and row softmax, the row gather into buffers, and the model's input
+matrix of a video.
 
 Class ids are 1-based throughout the public API: action classes are 1..C and
 the background class is C+1. Class distributions are the rows of plain
 float64 numpy arrays of width C+1, where column ``c - 1`` holds the
 probability of class ``c``.
+
+Reductions along the class axis (``row_max``, ``row_sum``) make one ufunc
+call per column over all rows at once, where numpy runs one short inner loop
+per row, and return the bits of ``x.max(axis=1)`` and ``x.sum(axis=1)`` on
+the C-ordered rows the package uses:
+
+- A maximum is exact, so any order of ``np.maximum`` calls gives its value.
+  (When a row's maximum is zero and the row holds both signs of zero, numpy
+  returns the sign its SIMD lane order picks. No caller reads that sign:
+  ``exp(x - max)`` is the same for either zero.)
+- A sum rounds at each addition, so ``row_sum`` repeats numpy's
+  ``pairwise_sum``. A row of fewer than 8 entries is summed in sequence from
+  0.0. Up to 128 entries, 8 accumulators take every 8th entry, combine as
+  ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and the leftover entries follow
+  in sequence. A longer row splits at a multiple of 8 near its middle and
+  adds its halves' sums. numpy adds the result to an initial 0.0, so a row
+  of ``-0.0`` sums to ``+0.0``; ``row_sum`` does the same.
 """
 
 from __future__ import annotations
@@ -33,14 +51,75 @@ class BadConfigError(Error, ValueError):
         super().__init__(f"config field '{fieldname}': {message}")
 
 
+def row_max(x: np.ndarray) -> np.ndarray:
+    """Each row's maximum of a 2-D array with at least one column, by one
+    ``np.maximum`` per column; NaN propagates as in ``x.max(axis=1)``."""
+    out = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(out, x[:, j], out=out)
+    return out
+
+
+def _pairwise_columns(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """numpy's pairwise_sum of each row's columns lo..hi-1, as a new array."""
+    n = hi - lo
+    if n < 8:
+        total = np.zeros(len(x))
+        for j in range(lo, hi):
+            total += x[:, j]
+        return total
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        total = _pairwise_columns(x, lo, lo + half)
+        total += _pairwise_columns(x, lo + half, hi)
+        return total
+    blocks = hi - n % 8
+    r = [x[:, lo + j] for j in range(8)]  # column views, until a block adds to them
+    if blocks > lo + 8:
+        r = [np.add(r[j], x[:, lo + 8 + j]) for j in range(8)]
+        for i in range(lo + 16, blocks, 8):
+            for j in range(8):
+                r[j] += x[:, i + j]
+    total, right = np.add(r[0], r[1]), np.add(r[2], r[3])
+    total += right
+    np.add(r[4], r[5], out=right)
+    right += np.add(r[6], r[7])
+    total += right
+    for j in range(blocks, hi):
+        total += x[:, j]
+    return total
+
+
+def row_sum(x: np.ndarray) -> np.ndarray:
+    """Each row's sum of a 2-D array, in numpy's pairwise order (module
+    docstring): the bits of ``x.sum(axis=1)`` for C-ordered rows."""
+    total = _pairwise_columns(x, 0, x.shape[1])
+    total += 0.0
+    return total
+
+
+def stack_rows(parts, out: np.ndarray) -> np.ndarray:
+    """The (array, rows) parts' rows, stacked in part order into ``out``,
+    which must hold exactly that many rows. Row indices must lie in
+    [0, len(array)): the gather clips them rather than checking."""
+    i = 0
+    for source, rows in parts:
+        # mode="clip" writes straight into out (the default copies first); the
+        # callers' rows are slices of a permutation, so none is out of range.
+        np.take(source, rows, axis=0, out=out[i : i + len(rows)], mode="clip")
+        i += len(rows)
+    return out
+
+
 def softmax_rows(logits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Row-wise stable softmax for a 2-D logit matrix.
+    """Row-wise stable softmax for a 2-D logit matrix, through the class-axis
+    kernels.
 
     Written into ``out`` when given, which may be ``logits`` itself.
     """
-    out = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    out = np.subtract(logits, row_max(logits)[:, None], out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
+    out /= row_sum(out)[:, None]
     return out
 
 

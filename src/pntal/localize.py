@@ -19,8 +19,9 @@ at once, in lockstep rounds.
 Four facts keep this path fast and its output byte-identical:
 
 - A candidate's span, class and score do not depend on the classification
-  threshold, so only min(classification_thresholds) affects candidates: it
-  decides which snippets seed them, and the rest of that grid is inert.
+  threshold, so only the lowest classification threshold affects
+  candidates: it decides which snippets seed them, and the rest of that grid
+  is inert. A NaN threshold, classification or mask, admits nothing.
 - Run means are summed in numpy's own reduction order, the one
   masks[s:e+1].mean() uses; other summation orders round differently and
   would change written scores in the last digit.
@@ -176,9 +177,9 @@ class _Summaries:
     def put(self, k: int, probs: np.ndarray, masks: np.ndarray) -> None:
         """Video k's (N, C+1) class probabilities, background last, and N mask scores."""
         at = slice(self.offsets[k], self.offsets[k + 1] - 1)
-        action = probs[:, :-1]
-        self.best[at] = action.max(axis=1)
-        self.best_class[at] = action.argmax(axis=1) + 1
+        best = probs[:, :-1].argmax(axis=1)  # the first NaN, if any, as max() gives NaN
+        self.best[at] = probs[np.arange(len(probs)), best]
+        self.best_class[at] = best + 1
         self.masks[at] = masks
 
 
@@ -190,7 +191,8 @@ def _candidates(
 ) -> DetectionTable:
     """Threshold-grid candidates of every video at once, one pass per distinct
     mask threshold; rows in (video, start, end, class) order, one per key."""
-    lowest = min((float(t) for t in classification_thresholds), default=None)
+    # A NaN threshold admits nothing: no seed's probability is >= NaN.
+    lowest = min((t for t in map(float, classification_thresholds) if not math.isnan(t)), default=None)
     levels = np.sort([float(t) for t in set(mask_thresholds)])  # NaN admits nothing, sorts last
     if lowest is None or not len(levels):
         return DetectionTable(video_ids, [], [], [], [], [])

@@ -16,6 +16,16 @@ ground truth, its hard target, its negative and positive masks, its mask-head
 target (NaN for none) and, optionally, a soft label. Training builds one for
 the labeled pool per phase and one for the unlabeled pool per epoch, then
 takes each step's rows from both with ``Supervision.stack``.
+
+Given a ``model.Workspace``, ``Supervision.stack`` gathers into its buffers
+and ``batch_terms`` writes every temporary and both gradients into them, so
+a training step allocates no (rows, K) array; the results hold until the
+next call on that workspace. Each class-axis sum is ``core.row_sum``: numpy's
+own pairwise addition order, one ufunc call per column, so every loss and
+gradient keeps the bits of ``.sum(axis=1)``. Training stacks labeled rows
+first, so the split into supervised and unsupervised parts sums two
+contiguous slices: the same elements, in the same order, as selecting them
+by the labeled flags.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Error
+from .core import Error, row_sum, stack_rows
 
 CLAMP = 1e-12
 
@@ -46,12 +56,16 @@ def mask_loss(mask_scores, foreground_targets):
         raise LengthMismatchError(f"mask scores {s.shape} vs targets {t.shape}")
     if s.size == 0:
         return 0.0, np.zeros(0)
-    losses = -(t * np.log(np.maximum(s, CLAMP)) + (1.0 - t) * np.log(np.maximum(1.0 - s, CLAMP)))
+    q = 1.0 - s
+    losses = -(t * np.log(np.maximum(s, CLAMP)) + (1.0 - t) * np.log(np.maximum(q, CLAMP)))
+    # Each part of the gradient is 0.0 on its clamped entries. Adding the
+    # second part everywhere adds 0.0 where only the first applies, as adding
+    # into zeros would: -t/s = -0.0 there becomes +0.0.
     grad = np.zeros_like(s)
-    pos_active = s > CLAMP
-    neg_active = (1.0 - s) > CLAMP
-    grad[pos_active] += -t[pos_active] / s[pos_active]
-    grad[neg_active] += (1.0 - t[neg_active]) / (1.0 - s[neg_active])
+    np.divide(-t, s, out=grad, where=s > CLAMP)
+    part = np.zeros_like(s)
+    np.divide(1.0 - t, q, out=part, where=q > CLAMP)
+    grad += part
     grad /= s.size
     return float(losses.mean()), grad
 
@@ -68,10 +82,16 @@ class LossBreakdown:
     total: float
 
 
-def _one_hot(targets: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((len(targets), k))
-    out[np.arange(len(targets)), targets - 1] = 1.0
-    return out
+def _rows(work, name: str, n: int, tail: tuple = (), dtype=np.float64) -> np.ndarray:
+    """n rows of the workspace buffer ``name``, or a new array without a workspace."""
+    if work is None:
+        return np.empty((n, *tail), dtype=dtype)
+    return work.buffer(name, n, tail, dtype)
+
+
+def _one_hot(targets: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The one-hot rows of 1-based targets, written into the (N, K) out."""
+    return np.equal(targets[:, None], np.arange(1, out.shape[1] + 1), out=out)
 
 
 @dataclass(eq=False)
@@ -93,25 +113,35 @@ class Supervision:
     soft: Optional[np.ndarray] = None  # (N, K) or None
 
     @classmethod
-    def stack(cls, parts) -> "Supervision":
-        """The (supervision, rows) parts' rows, stacked in part order.
+    def stack(cls, parts, work=None) -> "Supervision":
+        """The (supervision, rows) parts' rows, stacked in part order, into
+        ``work``'s buffers when given.
 
         The result has a soft label only if some part does; then the rows of
         the parts without one get one-hot rows of their targets.
         """
+        n = sum(len(rows) for _, rows in parts)
 
         def gather(name):
-            return np.concatenate([getattr(sup, name)[rows] for sup, rows in parts])
+            first = getattr(parts[0][0], name)
+            out = _rows(work, "supervision." + name, n, first.shape[1:], first.dtype)
+            return stack_rows([(getattr(sup, name), rows) for sup, rows in parts], out)
 
+        targets = gather("targets")
         soft = None
         if any(sup.soft is not None for sup, _ in parts):
-            soft = np.concatenate([
-                _one_hot(sup.targets[rows], sup.neg_mask.shape[1]) if sup.soft is None else sup.soft[rows]
-                for sup, rows in parts
-            ])
+            soft = _rows(work, "supervision.soft", n, (parts[0][0].neg_mask.shape[1],))
+            i = 0
+            for sup, rows in parts:
+                block = soft[i : i + len(rows)]
+                if sup.soft is None:
+                    _one_hot(targets[i : i + len(rows)], out=block)
+                else:
+                    stack_rows([(sup.soft, rows)], block)
+                i += len(rows)
         return cls(
             labeled=gather("labeled"),
-            targets=gather("targets"),
+            targets=targets,
             neg_mask=gather("neg_mask"),
             pos_mask=gather("pos_mask"),
             mask_targets=gather("mask_targets"),
@@ -119,54 +149,97 @@ class Supervision:
         )
 
 
-def _cross_entropy(p, log_p, w):
-    """Each row's -sum_c w_c log p_c and its gradient w.r.t. the row's logits.
+def _cross_entropy(p, log_p, w, active, scratch, grad):
+    """Each row's -sum_c w_c log p_c; its gradient w.r.t. the row's logits
+    goes into grad.
 
-    log_p is log(max(p, CLAMP)); weight on a clamped entry adds no gradient.
+    log_p is log(max(p, CLAMP)) and active is 1.0 where p > CLAMP, else 0.0;
+    weight on a clamped entry adds no gradient. ``w * active`` equals
+    np.where(p > CLAMP, w, 0.0) only because every weight is finite and
+    >= 0: w * 1.0 is w, and w * 0.0 is +0.0.
     """
-    w_active = np.where(p > CLAMP, w, 0.0)
-    return -(w * log_p).sum(axis=1), w_active.sum(axis=1, keepdims=True) * p - w_active
+    np.multiply(w, log_p, out=scratch)
+    rows = row_sum(scratch)
+    np.negative(rows, out=rows)
+    w_active = np.multiply(w, active, out=scratch)
+    np.multiply(row_sum(w_active)[:, None], p, out=grad)
+    grad -= w_active
+    return rows
 
 
-def batch_terms(probs: np.ndarray, mask_scores: np.ndarray, supervision: Supervision, alpha: float):
+def batch_terms(
+    probs: np.ndarray, mask_scores: np.ndarray, supervision: Supervision, alpha: float, work=None
+):
     """Loss breakdown plus gradients w.r.t. logits and mask scores.
 
     Supervised rows average with weight 1/N_labeled, unsupervised rows with
     alpha/N_unsupervised, mask BCE with 1/N_masked; the returned gradients are
-    exactly the gradients of breakdown.total.
+    exactly the gradients of breakdown.total. Given a workspace, every
+    temporary and both gradients live in its buffers.
     """
-    p = probs
-    n = len(p)
     labeled = supervision.labeled
-    n_lab = int(labeled.sum())
+    n_lab = int(np.count_nonzero(labeled))
+    if not labeled[:n_lab].all():
+        # Rows in another order are taken labeled-first, stably, and their
+        # gradients put back: each row's terms are its own, and each part of
+        # the split sees the same rows in the same order.
+        order = np.argsort(~labeled, kind="stable")
+        breakdown, grad, grad_mask = batch_terms(
+            probs[order], mask_scores[order], Supervision.stack([(supervision, order)]), alpha, work
+        )
+        grad_out, grad_mask_out = np.empty_like(grad), np.empty_like(grad_mask)
+        grad_out[order], grad_mask_out[order] = grad, grad_mask
+        return breakdown, grad_out, grad_mask_out
+
+    p = probs
+    n, k = p.shape
     n_uns = n - n_lab
-    log_p = np.log(np.maximum(p, CLAMP))
+    active, log_p, weights, scratch, grad, other = (
+        _rows(work, "batch_terms." + name, n, (k,))
+        for name in ("active", "log_p", "weights", "scratch", "grad", "other")
+    )
+    np.greater(p, CLAMP, out=active)
+    np.maximum(p, CLAMP, out=log_p)
+    np.log(log_p, out=log_p)
 
     # Target term: cross-entropy against the soft rows, or one-hot rows.
-    target_w = _one_hot(supervision.targets, p.shape[1]) if supervision.soft is None else supervision.soft
-    tgt_rows, grad = _cross_entropy(p, log_p, target_w)
+    target_w = supervision.soft
+    if target_w is None:
+        target_w = _one_hot(supervision.targets, out=weights)
+    tgt_rows = _cross_entropy(p, log_p, target_w, active, scratch, grad)
 
-    # Negative term: -sum_c m_c log(1 - p_c), clamped entries frozen.
-    q = 1.0 - p
-    mneg = supervision.neg_mask.astype(np.float64)
-    neg_active = q > CLAMP
-    neg_rows = -(mneg * np.log(np.maximum(q, CLAMP))).sum(axis=1)
-    w = np.where(neg_active, mneg * p / np.where(neg_active, q, 1.0), 0.0)
-    grad += w - p * w.sum(axis=1, keepdims=True)
+    # Negative term: -sum_c m_c log(1 - p_c), clamped entries frozen. With
+    # q = max(1 - p, CLAMP), q > CLAMP exactly where 1 - p > CLAMP, and there
+    # q is 1 - p; elsewhere the mask's 0.0 zeroes the weight m p / q, to
+    # +0.0 as np.where gave, because m and p are finite and >= 0.
+    q = np.subtract(1.0, p, out=other)
+    np.maximum(q, CLAMP, out=q)
+    mneg = weights
+    np.copyto(mneg, supervision.neg_mask)
+    np.log(q, out=scratch)
+    np.multiply(mneg, scratch, out=scratch)
+    neg_rows = row_sum(scratch)
+    np.negative(neg_rows, out=neg_rows)
+    np.greater(q, CLAMP, out=scratch)
+    w = np.multiply(mneg, scratch, out=weights)
+    w *= p
+    w /= q
+    np.multiply(p, row_sum(w)[:, None], out=scratch)
+    np.subtract(w, scratch, out=scratch)
+    grad += scratch
 
     # Positive term: -sum_c m_c log p_c.
-    pos_rows, pos_grad = _cross_entropy(p, log_p, supervision.pos_mask.astype(np.float64))
-    grad += pos_grad
+    np.copyto(weights, supervision.pos_mask)
+    pos_rows = _cross_entropy(p, log_p, weights, active, scratch, other)
+    grad += other
 
     lab_w = 1.0 / n_lab if n_lab else 0.0
     uns_w = alpha / n_uns if n_uns else 0.0
-    row_w = np.where(labeled, lab_w, uns_w)
-    grad *= row_w[:, None]
+    grad[:n_lab] *= lab_w
+    grad[n_lab:] *= uns_w
 
     def split(values):
-        sup = float(values[labeled].sum()) * lab_w
-        uns = float(values[~labeled].sum()) * uns_w
-        return sup + uns
+        return float(values[:n_lab].sum()) * lab_w + float(values[n_lab:].sum()) * uns_w
 
     target_comp = split(tgt_rows)
     negative_comp = split(neg_rows)
@@ -174,12 +247,15 @@ def batch_terms(probs: np.ndarray, mask_scores: np.ndarray, supervision: Supervi
 
     # Mask BCE, averaged separately over ground-truth and pseudo targets; the
     # pseudo part carries the unsupervised weight like every unlabeled term.
+    # Rows without a mask target drop out of both.
     masked = np.isfinite(supervision.mask_targets)
-    grad_mask = np.zeros(n)
+    grad_mask = _rows(work, "batch_terms.grad_mask", n)
+    grad_mask.fill(0.0)
     mask_comp = 0.0
     for rows_sel, weight in ((masked & labeled, 1.0), (masked & ~labeled, alpha)):
-        if rows_sel.any():
-            part, g = mask_loss(mask_scores[rows_sel], supervision.mask_targets[rows_sel])
+        scores = mask_scores[rows_sel]
+        if len(scores):
+            part, g = mask_loss(scores, supervision.mask_targets[rows_sel])
             mask_comp += weight * part
             grad_mask[rows_sel] = weight * g
 

@@ -125,8 +125,10 @@ class Workspace:
 
     The batch buffers hold up to ``rows`` rows: ``features`` for the
     caller's gather, then the activations and backward temporaries that
-    forward_batch and backward_batch write into their first n rows.
-    ``reserve`` sizes them and ``release`` frees them between uses.
+    forward_batch and backward_batch write into their first n rows. Other
+    layers of a step (the supervision gather, the loss terms) take named
+    buffers of the same rows from ``buffer``. ``reserve`` sizes them all and
+    ``release`` frees them between uses.
     """
 
     def __init__(self, params: ModelParams, rows: int = 0):
@@ -157,6 +159,18 @@ class Workspace:
         self.grad_u = np.empty(rows)
         self.grad_u_tmp = np.empty(rows)
         self.forward_rows = 0
+        self._buffers = {}
+
+    def buffer(self, name: str, n: int, tail: tuple = (), dtype=np.float64) -> np.ndarray:
+        """The first n rows of the (rows, *tail) buffer ``name``, made on first
+        use after ``reserve``."""
+        if n > self.rows:
+            raise ShapeMismatchError(f"{n} rows exceed the workspace's {self.rows}")
+        key = (name, tail, np.dtype(dtype))
+        buf = self._buffers.get(key)
+        if buf is None:
+            buf = self._buffers[key] = np.empty((self.rows, *tail), dtype=dtype)
+        return buf[:n]
 
     def release(self) -> None:
         self.reserve(0)

@@ -55,6 +55,7 @@ from .core import (
     VideoRecord,
     snippet_true_labels,
     softmax_rows,
+    stack_rows,
     video_feature_matrix,
 )
 from .partition import partition_rows
@@ -70,6 +71,10 @@ NEGATIVE_OBJECTIVES = ("hybrid", "target-negative")
 
 
 class EmptyLabeledSetError(Error, ValueError):
+    pass
+
+
+class BadTemperatureError(Error, ValueError):
     pass
 
 
@@ -144,8 +149,8 @@ def _ground_truth(pool: Pool, config: ExperimentConfig, negatives: bool) -> loss
 
 def sharpen_rows(probs: np.ndarray, temperature: float) -> np.ndarray:
     """Power sharpening p^(1/T), renormalized row-wise: the softmax of log(p) / T."""
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
+    if not temperature > 0:
+        raise BadTemperatureError(f"temperature must be > 0, got {temperature!r}")
     if temperature == 1.0:
         return probs.copy()
     logs = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), -np.inf)
@@ -281,25 +286,15 @@ def _epoch_batches(rng, pool_size: int, batch_size: int) -> List[np.ndarray]:
     return [perm[i : i + batch_size] for i in range(0, pool_size, batch_size)]
 
 
-def _gather_features(work: model.Workspace, parts) -> np.ndarray:
-    """The (features, rows) parts' rows, stacked in order into work.features."""
-    n = 0
-    for features, rows in parts:
-        # mode="clip" writes straight into the buffer; the rows are slices of
-        # a permutation of the pool, so none is out of range.
-        np.take(features, rows, axis=0, out=work.features[n : n + len(rows)], mode="clip")
-        n += len(rows)
-    return work.features[:n]
-
-
 def _train_step(work: model.Workspace, parts, learning_rate, alpha):
     """One step over the (features, supervision, rows) parts' rows, stacked in
     part order: forward, hybrid loss against the frozen supervision, backward,
-    update."""
-    features = _gather_features(work, [(x, rows) for x, _, rows in parts])
-    supervision = losses.Supervision.stack([(sup, rows) for _, sup, rows in parts])
+    update. Every batch array lives in the workspace's buffers."""
+    n = sum(len(rows) for _, _, rows in parts)
+    features = stack_rows([(x, rows) for x, _, rows in parts], work.features[:n])
+    supervision = losses.Supervision.stack([(sup, rows) for _, sup, rows in parts], work)
     probs, scores, _ = model.forward_batch(work.params, features, work)
-    breakdown, grad_logits, grad_mask = losses.batch_terms(probs, scores, supervision, alpha)
+    breakdown, grad_logits, grad_mask = losses.batch_terms(probs, scores, supervision, alpha, work)
     model.backward_batch(work, features, grad_logits, grad_mask)
     model.step(work, learning_rate)
     return breakdown

@@ -129,7 +129,7 @@ def reference_candidates(class_probs, mask_scores, classification_thresholds, ma
                 for i in range(s, e + 1):
                     action = [float(p) for p in probs[i, :-1]]
                     top = max(action)
-                    if top < theta_c:
+                    if not top >= theta_c:  # a NaN threshold admits nothing
                         continue
                     key = (s, e, action.index(top) + 1)
                     score = top * run_mean

@@ -10,6 +10,8 @@ from pntal.core import (
     NonFiniteError,
     VideoRecord,
     prototype_dimensions,
+    row_max,
+    row_sum,
     snippet_true_labels,
     softmax_rows,
 )
@@ -49,6 +51,80 @@ class TestSoftmax:
         rng = np.random.default_rng(2)
         logits = rng.normal(size=(200, 6))
         assert np.array_equal(np.argmax(softmax_rows(logits), axis=1), np.argmax(logits, axis=1))
+
+
+def assert_same_bits(got, want):
+    """Equal shapes and, outside NaN, equal bits: the sign of zero included.
+
+    NaN positions must agree; which NaN payload an addition of NaNs returns
+    depends on the order of operands that numpy's compiler chose.
+    """
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def _special_rows(rng, rows, k):
+    values = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300,
+              1.7e308, -1.7e308, 1.0, -3.5]
+    return rng.choice(values, size=(rows, k))
+
+
+class TestClassAxisKernels:
+    """row_max and row_sum against numpy's own reductions, bit for bit. This
+    is the guard on numpy's reduction order: if an installed numpy sums in
+    another order, these tests fail rather than every artifact changing."""
+
+    def test_widths(self):
+        for k in range(1, 301):
+            self.check_width(k)
+
+    def check_width(self, k):
+        rng = np.random.default_rng(k)
+        with np.errstate(all="ignore"):
+            cases = [
+                rng.normal(size=(7, k)) * 10.0 ** rng.integers(-300, 300, size=(7, k)),
+                rng.normal(size=(5, k)) + 1e16,  # every addition rounds
+                np.full((2, k), -0.0),
+                rng.choice([0.0, -0.0], size=(6, k)),
+                _special_rows(rng, 9, k),
+                np.zeros((0, k)),
+                rng.normal(size=(1, k)),
+            ]
+            for x in cases:
+                assert_same_bits(row_sum(x), x.sum(axis=1))
+                assert_same_bits(row_sum(x.copy()), np.sum(x, axis=1))
+            for x in cases:
+                want = x.max(axis=1)
+                got = row_max(x)
+                # A row whose maximum is zero and that holds both signs of zero:
+                # numpy's SIMD lane order picks the sign, so compare values.
+                zero = (want == 0.0) & (x == 0.0).any(axis=1)
+                mixed = zero & (np.signbit(x) & (x == 0.0)).any(axis=1) & (~np.signbit(x) & (x == 0.0)).any(axis=1)
+                assert_same_bits(got[~mixed], want[~mixed])
+                assert np.array_equal(got[mixed], want[mixed])
+
+    def test_signed_zeros(self):
+        for k in (1, 7, 8, 11, 129, 300):
+            negative = np.full((3, k), -0.0)
+            assert np.signbit(row_max(negative)).all()
+            assert not np.signbit(row_sum(negative)).any()  # numpy adds the sum to 0.0
+            assert_same_bits(row_sum(negative), negative.sum(axis=1))
+
+    def test_softmax_keeps_numpy_reduction_bits(self):
+        rng = np.random.default_rng(3)
+        for k in (1, 2, 5, 11, 16, 17, 130):
+            logits = rng.normal(size=(50, k)) * 20.0
+            if k > 1:
+                logits[::7, 0] = -np.inf  # as sharpen_rows gives for a zero probability
+            want = logits - logits.max(axis=1, keepdims=True)
+            np.exp(want, out=want)
+            want /= want.sum(axis=1, keepdims=True)
+            assert_same_bits(softmax_rows(logits), want)
+            inplace = logits.copy()
+            assert softmax_rows(inplace, out=inplace) is inplace
+            assert_same_bits(inplace, want)
 
 
 class TestSnippetTypes:

@@ -300,6 +300,34 @@ class TestAgainstLoopReferences:
             assert [(d.video_id, d.start, d.end, d.class_idx, d.score) for d in got] == want
         assert boundary_runs > 50 and negative > 50 and long_runs > 5
 
+    @pytest.mark.parametrize("cls_grid", [[math.nan, 0.1], [0.1, math.nan], [math.nan], [0.4, math.nan, 0.1]])
+    def test_nan_classification_threshold_admits_nothing(self, cls_grid):
+        # The candidates are those of the grid without its NaN, in either order.
+        rng = np.random.default_rng(17)
+        probs, mask = _random_video_outputs(rng, 30)
+        mask[:] = np.maximum(mask, 0.6)  # one run over the whole video
+        got = generate_candidates("v", probs, mask, cls_grid, [0.5])
+        want = reference_candidates(probs, mask, cls_grid, [0.5])
+        assert [(d.start, d.end, d.class_idx, d.score) for d in got] == want
+        finite = [t for t in cls_grid if not math.isnan(t)]
+        assert want == (reference_candidates(probs, mask, finite, [0.5]) if finite else [])
+        assert (len(want) > 0) == bool(finite)
+
+    def test_summaries_best_is_the_max_at_the_argmax(self):
+        # Each snippet's best action probability and class, NaN rows included:
+        # argmax picks the first NaN, and max() of a row with a NaN is NaN.
+        rng = np.random.default_rng(19)
+        probs = rng.dirichlet(np.ones(5), size=40)
+        probs[[3, 7], 2] = math.nan
+        probs[7, 0] = math.nan
+        probs[9] = [0.3, 0.3, 0.2, 0.1, 0.1]  # a tie goes to the lowest class
+        videos = localize._Summaries([40])
+        videos.put(0, probs, np.full(40, 0.5))
+        at = slice(videos.offsets[0], videos.offsets[1] - 1)
+        assert np.array_equal(videos.best[at], probs[:, :-1].max(axis=1), equal_nan=True)
+        assert np.array_equal(videos.best_class[at], probs[:, :-1].argmax(axis=1) + 1)
+        assert videos.best_class[at][[3, 7, 9]].tolist() == [3, 1, 1]
+
     def test_soft_nms_bit_equal(self):
         rng = np.random.default_rng(12)
         for k in range(300):

@@ -4,6 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
+from pntal import model
 from pntal.core import ExperimentConfig
 from pntal.losses import (
     LengthMismatchError,
@@ -182,6 +183,20 @@ class TestMaskLoss:
             numeric = finite_difference(lambda s: mask_loss(s, targets)[0], list(scores))
             assert_gradients_close(grad, numeric)
 
+    def test_clamped_gradient_bits(self):
+        # Each unclamped part of the gradient adds into zeros, so a t = 0 row
+        # at s = 1 (only its clamped negative part left) gets +0.0, not -0.0.
+        s, t = (np.array(v, dtype=float).ravel() for v in np.meshgrid(
+            [0.0, 1e-13, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 1e-13, 1.0], [0.0, 1.0, 0.3, -0.0]))
+        want = np.zeros(len(s))
+        on, off = s > 1e-12, 1.0 - s > 1e-12
+        want[on] += -t[on] / s[on]
+        want[off] += (1.0 - t[off]) / (1.0 - s[off])
+        want /= len(s)
+        _, grad = mask_loss(s, t)
+        assert np.array_equal(grad.view(np.uint64), want.view(np.uint64))
+        assert np.signbit(want).sum() < np.signbit(-t / np.where(s > 0, s, 1.0)).sum()
+
 
 @pytest.mark.parametrize("case", ["target", "negative", "positive", "soft"])
 def test_gradients_match_finite_differences(case):
@@ -261,8 +276,12 @@ class TestSupervisionStack:
         q = np.random.default_rng(3).dirichlet(np.ones(4), size=3)
         a = _supervision(True, [2, 4], 4)
         b = _supervision(False, [1, 1, 3], 4, soft=q)
-        out = Supervision.stack([(a, np.array([1, 0])), (b, np.array([2, 0]))])
-        assert np.array_equal(out.soft, np.vstack([np.eye(4)[[3, 1]], q[[2, 0]]]))
+        work = model.Workspace(model.init_params(3, 2, 4, seed=0), rows=4)
+        for buffers in (None, work):
+            out = Supervision.stack([(a, np.array([1, 0])), (b, np.array([2, 0]))], buffers)
+            assert np.array_equal(out.soft, np.vstack([np.eye(4)[[3, 1]], q[[2, 0]]]))
+            out = Supervision.stack([(b, np.array([2, 0])), (a, np.array([1, 0]))], buffers)
+            assert np.array_equal(out.soft, np.vstack([q[[2, 0]], np.eye(4)[[3, 1]]]))
 
     def test_empty_parts(self):
         a = _supervision(True, [2, 4], 4)
@@ -387,3 +406,114 @@ def _check_batch_against_per_row_ops(unlabeled_rows):
     _, grad2, _ = batch_terms(shifted / shifted.sum(axis=1, keepdims=True), scores, sup, alpha=alpha)
     numeric = finite_difference(total_from_logits, list(logits.ravel()), h=1e-6)
     assert_gradients_close(grad2.ravel(), numeric, rel_tol=1e-4, abs_tol=1e-7)
+
+
+def _reference_batch_terms(p, mask_scores, sup, alpha):
+    """batch_terms written with numpy's reductions, np.where and boolean
+    selection: the bits training must keep. Returns (the three split terms,
+    logit gradient, mask gradient)."""
+    n, k = p.shape
+    lab = sup.labeled
+    n_lab = int(lab.sum())
+    log_p = np.log(np.maximum(p, 1e-12))
+
+    def cross_entropy(w):
+        w_active = np.where(p > 1e-12, w, 0.0)
+        return -(w * log_p).sum(axis=1), w_active.sum(axis=1, keepdims=True) * p - w_active
+
+    target_w = np.eye(k)[sup.targets - 1] if sup.soft is None else sup.soft
+    tgt_rows, grad = cross_entropy(target_w)
+    q = 1.0 - p
+    mneg = sup.neg_mask.astype(np.float64)
+    active = q > 1e-12
+    neg_rows = -(mneg * np.log(np.maximum(q, 1e-12))).sum(axis=1)
+    w = np.where(active, mneg * p / np.where(active, q, 1.0), 0.0)
+    grad += w - p * w.sum(axis=1, keepdims=True)
+    pos_rows, pos_grad = cross_entropy(sup.pos_mask.astype(np.float64))
+    grad += pos_grad
+    lab_w = 1.0 / n_lab if n_lab else 0.0
+    uns_w = alpha / (n - n_lab) if n - n_lab else 0.0
+    grad *= np.where(lab, lab_w, uns_w)[:, None]
+    terms = [float(v[lab].sum()) * lab_w + float(v[~lab].sum()) * uns_w for v in (tgt_rows, neg_rows, pos_rows)]
+    masked = np.isfinite(sup.mask_targets)
+    grad_mask = np.zeros(n)
+    for sel, weight in ((masked & lab, 1.0), (masked & ~lab, alpha)):
+        if sel.any():
+            s, t = mask_scores[sel], sup.mask_targets[sel]
+            g = np.zeros(len(s))
+            on, off = s > 1e-12, 1.0 - s > 1e-12
+            g[on] += -t[on] / s[on]
+            g[off] += (1.0 - t[off]) / (1.0 - s[off])
+            grad_mask[sel] = weight * (g / len(s))
+    return terms, grad, grad_mask
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestBatchTermsInWorkspace:
+    """batch_terms and Supervision.stack through one workspace, as training
+    calls them, against fresh arrays and the numpy-reduction reference, bit
+    for bit: a full batch, a short one, then a full one again, so a buffer
+    row left over from a longer batch would show."""
+
+    K = 11
+
+    def pool(self, rng, n, labeled, soft):
+        k = self.K
+        probs = np.exp(rng.normal(size=(n, k)) * 4.0)
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[:5] = np.eye(k)[rng.integers(0, k, size=5)]  # clamped entries, p = 1 and 0
+        targets = rng.integers(1, k + 1, size=n)
+        sup = Supervision(
+            labeled=np.full(n, labeled),
+            targets=targets,
+            neg_mask=rng.random((n, k)) < 0.5,
+            pos_mask=rng.random((n, k)) < 0.2,
+            mask_targets=np.where(rng.random(n) < 0.1, np.nan, (targets != k).astype(np.float64)),
+            soft=np.exp(-np.abs(rng.normal(size=(n, k))) * 9.0) if soft else None,
+        )
+        if soft:
+            sup.soft[:3] = 0.0
+            sup.soft[:3, 0] = 1.0
+        return probs, rng.uniform(0.0, 1.0, size=n), sup
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "mixed"])
+    def test_matches_fresh_arrays_and_reference(self, kind):
+        rng = np.random.default_rng(["hard", "soft", "mixed"].index(kind))
+        lab = self.pool(rng, 3000, True, soft=kind == "soft")
+        uns = self.pool(rng, 3000, False, soft=kind != "hard")
+        work = model.Workspace(model.init_params(4, 5, self.K, seed=0), rows=2506)
+        for n_lab, n_uns in ((256, 2250), (16, 192), (250, 2256)):
+            rows = [rng.permutation(3000)[:n_lab], rng.permutation(3000)[:n_uns]]
+            probs = np.concatenate([lab[0][rows[0]], uns[0][rows[1]]])
+            scores = np.concatenate([lab[1][rows[0]], uns[1][rows[1]]])
+            scores[:4] = [0.0, 1.0, 1e-13, 1.0 - 1e-13]
+            parts = [(lab[2], rows[0]), (uns[2], rows[1])]
+            fresh = Supervision.stack(parts)
+            in_work = Supervision.stack(parts, work)
+            for name in ("labeled", "targets", "neg_mask", "pos_mask", "mask_targets", "soft"):
+                a, b = getattr(fresh, name), getattr(in_work, name)
+                assert (a is None) == (b is None) and (a is None or np.array_equal(a, b, equal_nan=True)), name
+            got = batch_terms(probs, scores, in_work, 0.7, work)
+            want = batch_terms(probs, scores, fresh, 0.7)
+            terms, grad, grad_mask = _reference_batch_terms(probs, scores, fresh, 0.7)
+            breakdown = got[0]
+            assert breakdown == want[0]
+            assert [breakdown.target, breakdown.negative, breakdown.positive] == terms
+            for a, b, c in zip(got[1:], want[1:], (grad, grad_mask)):
+                assert np.array_equal(_bits(a), _bits(b)) and np.array_equal(_bits(a), _bits(c))
+
+    def test_rows_in_any_order(self):
+        # Labeled and unlabeled rows interleaved give the same bits as the
+        # reference, which selects each part by the labeled flags.
+        rng = np.random.default_rng(5)
+        probs, scores, sup = self.pool(rng, 300, True, soft=True)
+        sup.labeled[:] = rng.random(300) < 0.3
+        sup.mask_targets[rng.random(300) < 0.2] = np.nan
+        breakdown, grad, grad_mask = batch_terms(probs, scores, sup, 0.4)
+        terms, want_grad, want_mask = _reference_batch_terms(probs, scores, sup, 0.4)
+        assert [breakdown.target, breakdown.negative, breakdown.positive] == terms
+        assert np.array_equal(_bits(grad), _bits(want_grad))
+        assert np.array_equal(_bits(grad_mask), _bits(want_mask))

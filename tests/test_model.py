@@ -206,6 +206,22 @@ class TestWorkspace:
         with pytest.raises(ShapeMismatchError):
             forward_batch(work.params, np.ones((3, 3)), work)
 
+    def test_named_buffers_live_until_reserve(self):
+        work = Workspace(init_params(3, 4, 3, seed=6), rows=5)
+        a = work.buffer("a", 3, (2,))
+        assert a.shape == (3, 2) and a.dtype == np.float64
+        assert np.shares_memory(a, work.buffer("a", 5, (2,)))
+        assert not np.shares_memory(a, work.buffer("a", 5, (2,), dtype=bool))
+        assert not np.shares_memory(a, work.buffer("b", 5, (2,)))
+        work.reserve(8)
+        assert not np.shares_memory(a, work.buffer("a", 8, (2,)))
+        with pytest.raises(ShapeMismatchError):
+            work.buffer("a", 9, (2,))
+        work.release()
+        assert work.buffer("a", 0, (2,)).shape == (0, 2)
+        with pytest.raises(ShapeMismatchError):
+            work.buffer("a", 1, (2,))
+
 
 class TestStep:
     def test_zero_gradients_keep_params(self):

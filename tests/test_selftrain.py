@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pntal import datagen, model, selftrain
-from pntal.core import ExperimentConfig, VideoRecord
+from pntal.core import Error, ExperimentConfig, VideoRecord
 from pntal.losses import Supervision, batch_terms
 from pntal.selftrain import (
     EmptyLabeledSetError,
@@ -104,6 +104,12 @@ class TestSharpen:
     def test_bad_temperature(self):
         with pytest.raises(ValueError):
             sharpen_rows(np.array([[0.5, 0.5]]), 0.0)
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
+    def test_bad_temperature_is_the_package_error(self, temperature):
+        with pytest.raises(selftrain.BadTemperatureError, match="temperature") as err:
+            sharpen_rows(np.array([[0.5, 0.5]]), temperature)
+        assert isinstance(err.value, Error) and isinstance(err.value, ValueError)
 
 
 class TestPretrain:
