@@ -104,8 +104,9 @@ def stack_rows(parts, out: np.ndarray) -> np.ndarray:
     [0, len(array)): the gather clips them rather than checking."""
     i = 0
     for source, rows in parts:
-        # mode="clip" writes straight into out (the default copies first); the
-        # callers' rows are slices of a permutation, so none is out of range.
+        # mode="clip" writes straight into out (the default copies first), so
+        # out-of-range rows must be caught before: Supervision.stack checks its
+        # parts, and the training step's feature gather takes the same rows.
         np.take(source, rows, axis=0, out=out[i : i + len(rows)], mode="clip")
         i += len(rows)
     return out

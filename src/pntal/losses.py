@@ -17,15 +17,12 @@ target (NaN for none) and, optionally, a soft label. Training builds one for
 the labeled pool per phase and one for the unlabeled pool per epoch, then
 takes each step's rows from both with ``Supervision.stack``.
 
-Given a ``model.Workspace``, ``Supervision.stack`` gathers into its buffers
-and ``batch_terms`` writes every temporary and both gradients into them, so
-a training step allocates no (rows, K) array; the results hold until the
-next call on that workspace. Each class-axis sum is ``core.row_sum``: numpy's
-own pairwise addition order, one ufunc call per column, so every loss and
-gradient keeps the bits of ``.sum(axis=1)``. Training stacks labeled rows
-first, so the split into supervised and unsupervised parts sums two
-contiguous slices: the same elements, in the same order, as selecting them
-by the labeled flags.
+Both take a ``model.Workspace``: ``Supervision.stack`` gathers into its
+buffers and ``batch_terms`` writes every temporary and both gradients into
+them, so a training step allocates no (rows, K) array; the results hold
+until the next call on that workspace. Each class-axis sum is
+``core.row_sum``: numpy's own pairwise addition order, one ufunc call per
+column, so every loss and gradient keeps the bits of ``.sum(axis=1)``.
 """
 
 from __future__ import annotations
@@ -45,6 +42,10 @@ class LengthMismatchError(Error, ValueError):
 
 
 class UnresolvedSupervisionError(Error, ValueError):
+    pass
+
+
+class RowIndexError(Error, IndexError):
     pass
 
 
@@ -82,13 +83,6 @@ class LossBreakdown:
     total: float
 
 
-def _rows(work, name: str, n: int, tail: tuple = (), dtype=np.float64) -> np.ndarray:
-    """n rows of the workspace buffer ``name``, or a new array without a workspace."""
-    if work is None:
-        return np.empty((n, *tail), dtype=dtype)
-    return work.buffer(name, n, tail, dtype)
-
-
 def _one_hot(targets: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The one-hot rows of 1-based targets, written into the (N, K) out."""
     return np.equal(targets[:, None], np.arange(1, out.shape[1] + 1), out=out)
@@ -113,24 +107,28 @@ class Supervision:
     soft: Optional[np.ndarray] = None  # (N, K) or None
 
     @classmethod
-    def stack(cls, parts, work=None) -> "Supervision":
-        """The (supervision, rows) parts' rows, stacked in part order, into
-        ``work``'s buffers when given.
+    def stack(cls, parts, work) -> "Supervision":
+        """The (supervision, rows) parts' rows, stacked in part order into
+        ``work``'s buffers. Every row index must lie in [0, len(part)).
 
         The result has a soft label only if some part does; then the rows of
         the parts without one get one-hot rows of their targets.
         """
+        for sup, rows in parts:
+            # Checked once per part here, because the gather clips.
+            if len(rows) and (rows.min() < 0 or rows.max() >= len(sup.labeled)):
+                raise RowIndexError(f"row indices must lie in [0, {len(sup.labeled)})")
         n = sum(len(rows) for _, rows in parts)
 
         def gather(name):
             first = getattr(parts[0][0], name)
-            out = _rows(work, "supervision." + name, n, first.shape[1:], first.dtype)
+            out = work.buffer("supervision." + name, n, first.shape[1:], first.dtype)
             return stack_rows([(getattr(sup, name), rows) for sup, rows in parts], out)
 
         targets = gather("targets")
         soft = None
         if any(sup.soft is not None for sup, _ in parts):
-            soft = _rows(work, "supervision.soft", n, (parts[0][0].neg_mask.shape[1],))
+            soft = work.buffer("supervision.soft", n, (parts[0][0].neg_mask.shape[1],))
             i = 0
             for sup, rows in parts:
                 block = soft[i : i + len(rows)]
@@ -167,35 +165,21 @@ def _cross_entropy(p, log_p, w, active, scratch, grad):
     return rows
 
 
-def batch_terms(
-    probs: np.ndarray, mask_scores: np.ndarray, supervision: Supervision, alpha: float, work=None
-):
+def batch_terms(probs: np.ndarray, mask_scores: np.ndarray, supervision: Supervision, alpha: float, work):
     """Loss breakdown plus gradients w.r.t. logits and mask scores.
 
     Supervised rows average with weight 1/N_labeled, unsupervised rows with
     alpha/N_unsupervised, mask BCE with 1/N_masked; the returned gradients are
-    exactly the gradients of breakdown.total. Given a workspace, every
-    temporary and both gradients live in its buffers.
+    exactly the gradients of breakdown.total. Every temporary and both
+    gradients live in the workspace's buffers.
     """
-    labeled = supervision.labeled
-    n_lab = int(np.count_nonzero(labeled))
-    if not labeled[:n_lab].all():
-        # Rows in another order are taken labeled-first, stably, and their
-        # gradients put back: each row's terms are its own, and each part of
-        # the split sees the same rows in the same order.
-        order = np.argsort(~labeled, kind="stable")
-        breakdown, grad, grad_mask = batch_terms(
-            probs[order], mask_scores[order], Supervision.stack([(supervision, order)]), alpha, work
-        )
-        grad_out, grad_mask_out = np.empty_like(grad), np.empty_like(grad_mask)
-        grad_out[order], grad_mask_out[order] = grad, grad_mask
-        return breakdown, grad_out, grad_mask_out
-
     p = probs
     n, k = p.shape
+    labeled = supervision.labeled
+    n_lab = int(labeled.sum())
     n_uns = n - n_lab
     active, log_p, weights, scratch, grad, other = (
-        _rows(work, "batch_terms." + name, n, (k,))
+        work.buffer("batch_terms." + name, n, (k,))
         for name in ("active", "log_p", "weights", "scratch", "grad", "other")
     )
     np.greater(p, CLAMP, out=active)
@@ -235,11 +219,13 @@ def batch_terms(
 
     lab_w = 1.0 / n_lab if n_lab else 0.0
     uns_w = alpha / n_uns if n_uns else 0.0
-    grad[:n_lab] *= lab_w
-    grad[n_lab:] *= uns_w
+    row_w = np.where(labeled, lab_w, uns_w)
+    grad *= row_w[:, None]
 
     def split(values):
-        return float(values[:n_lab].sum()) * lab_w + float(values[n_lab:].sum()) * uns_w
+        sup = float(values[labeled].sum()) * lab_w
+        uns = float(values[~labeled].sum()) * uns_w
+        return sup + uns
 
     target_comp = split(tgt_rows)
     negative_comp = split(neg_rows)
@@ -249,7 +235,7 @@ def batch_terms(
     # pseudo part carries the unsupervised weight like every unlabeled term.
     # Rows without a mask target drop out of both.
     masked = np.isfinite(supervision.mask_targets)
-    grad_mask = _rows(work, "batch_terms.grad_mask", n)
+    grad_mask = work.buffer("batch_terms.grad_mask", n)
     grad_mask.fill(0.0)
     mask_comp = 0.0
     for rows_sel, weight in ((masked & labeled, 1.0), (masked & ~labeled, alpha)):

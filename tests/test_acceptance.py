@@ -191,13 +191,15 @@ def test_criterion_3_gradient_suite():
             pos_mask[i, targets[i] - 1] = False
         mask_targets = np.where(labeled, case_rng.integers(0, 2, size=n).astype(float), np.nan)
 
+        loss_work = model.Workspace(params, rows=n)
+
         def total(p, work=None):
             probs, scores, hidden = model.forward_batch(p, x, work)
             sup = Supervision(
                 labeled=labeled, targets=targets, neg_mask=neg_mask, pos_mask=pos_mask,
                 mask_targets=mask_targets,
             )
-            breakdown, gl, gm = batch_terms(probs, scores, sup, alpha=0.7)
+            breakdown, gl, gm = batch_terms(probs, scores, sup, 0.7, loss_work)
             return breakdown.total, gl, gm, hidden
 
         work = model.Workspace(params, rows=n)

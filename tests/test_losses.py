@@ -8,12 +8,18 @@ from pntal import model
 from pntal.core import ExperimentConfig
 from pntal.losses import (
     LengthMismatchError,
+    RowIndexError,
     Supervision,
     batch_terms,
     mask_loss,
 )
 
 from oracles import assert_gradients_close, finite_difference, softmax_list
+
+
+def _work(n, k):
+    """A workspace with room for n rows of k classes, for the loss calls."""
+    return model.Workspace(model.init_params(1, 1, k, seed=0), rows=n)
 
 
 def _batch(probs, mask_scores, rows, mask_targets=None):
@@ -63,7 +69,7 @@ def _one_row(probs, target, negatives=(), positives=()):
     loss terms; the gradient is that of their sum.
     """
     batch = _batch([probs], [0.5], [("pseudo", target, set(negatives), set(positives))])
-    breakdown, grad, _ = batch_terms(*batch, alpha=1.0)
+    breakdown, grad, _ = batch_terms(*batch, 1.0, _work(1, len(probs)))
     return breakdown, grad[0]
 
 
@@ -213,7 +219,7 @@ def test_gradients_match_finite_differences(case):
             fn = _target_fn(target)
         elif case == "soft":
             q = rng.dirichlet(np.ones(k))
-            _, grad, _ = batch_terms(*_batch([probs], [0.5], [("soft", q)]), alpha=1.0)
+            _, grad, _ = batch_terms(*_batch([probs], [0.5], [("soft", q)]), 1.0, _work(1, k))
             grad = grad[0]
             fn = lambda z: -sum(
                 qc * math.log(max(pc, 1e-12)) for qc, pc in zip(q, softmax_list(z))
@@ -236,7 +242,7 @@ def test_gradients_match_finite_differences(case):
 
 
 def _loss(batch, config):
-    breakdown, _, _ = batch_terms(*batch, alpha=config.unlabeled_loss_weight)
+    breakdown, _, _ = batch_terms(*batch, config.unlabeled_loss_weight, _work(*batch[0].shape))
     return breakdown
 
 
@@ -266,7 +272,7 @@ class TestSupervisionStack:
         a = _supervision(True, [1, 2, 3, 4, 2], 4)
         b = _supervision(False, [4, 3, 1], 4)
         rows_a, rows_b = np.array([4, 0, 2]), np.array([1, 2])
-        out = Supervision.stack([(a, rows_a), (b, rows_b)])
+        out = Supervision.stack([(a, rows_a), (b, rows_b)], _work(5, 4))
         for name in ("labeled", "targets", "neg_mask", "pos_mask", "mask_targets"):
             want = np.concatenate([getattr(a, name)[rows_a], getattr(b, name)[rows_b]])
             assert np.array_equal(getattr(out, name), want, equal_nan=name == "mask_targets")
@@ -276,22 +282,30 @@ class TestSupervisionStack:
         q = np.random.default_rng(3).dirichlet(np.ones(4), size=3)
         a = _supervision(True, [2, 4], 4)
         b = _supervision(False, [1, 1, 3], 4, soft=q)
-        work = model.Workspace(model.init_params(3, 2, 4, seed=0), rows=4)
-        for buffers in (None, work):
-            out = Supervision.stack([(a, np.array([1, 0])), (b, np.array([2, 0]))], buffers)
-            assert np.array_equal(out.soft, np.vstack([np.eye(4)[[3, 1]], q[[2, 0]]]))
-            out = Supervision.stack([(b, np.array([2, 0])), (a, np.array([1, 0]))], buffers)
-            assert np.array_equal(out.soft, np.vstack([q[[2, 0]], np.eye(4)[[3, 1]]]))
+        work = _work(4, 4)
+        out = Supervision.stack([(a, np.array([1, 0])), (b, np.array([2, 0]))], work)
+        assert np.array_equal(out.soft, np.vstack([np.eye(4)[[3, 1]], q[[2, 0]]]))
+        out = Supervision.stack([(b, np.array([2, 0])), (a, np.array([1, 0]))], work)
+        assert np.array_equal(out.soft, np.vstack([q[[2, 0]], np.eye(4)[[3, 1]]]))
 
     def test_empty_parts(self):
         a = _supervision(True, [2, 4], 4)
         b = _supervision(False, [1, 3], 4, soft=np.full((2, 4), 0.25))
         none = np.zeros(0, dtype=np.int64)
-        out = Supervision.stack([(a, none), (b, none)])
+        out = Supervision.stack([(a, none), (b, none)], _work(0, 4))
         assert out.targets.shape == out.labeled.shape == out.mask_targets.shape == (0,)
         assert out.neg_mask.shape == out.pos_mask.shape == out.soft.shape == (0, 4)
-        out = Supervision.stack([(a, np.array([1])), (b, none)])
+        out = Supervision.stack([(a, np.array([1])), (b, none)], _work(1, 4))
         assert np.array_equal(out.targets, [4]) and np.array_equal(out.soft, np.eye(4)[[3]])
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_row_out_of_range_raises(self, bad):
+        a = _supervision(True, [2, 4], 4)
+        b = _supervision(False, [1, 3, 2], 4)
+        with pytest.raises(RowIndexError):
+            Supervision.stack([(a, np.array([0, bad])), (b, np.array([2]))], _work(3, 4))
+        with pytest.raises(IndexError):
+            Supervision.stack([(b, np.array([0])), (a, np.array([bad, 1]))], _work(3, 4))
 
 
 class TestCombinedLoss:
@@ -376,7 +390,8 @@ def _check_batch_against_per_row_ops(unlabeled_rows):
         mask_targets=mask_targets, soft=soft,
     )
 
-    breakdown, _, _ = batch_terms(probs, scores, sup, alpha=alpha)
+    work = _work(n, k)
+    breakdown, _, _ = batch_terms(probs, scores, sup, alpha, work)
 
     n_lab = labeled.sum()
     n_uns = n - n_lab
@@ -399,12 +414,12 @@ def _check_batch_against_per_row_ops(unlabeled_rows):
         z = np.asarray(flat).reshape(n, k)
         p = np.exp(z - z.max(axis=1, keepdims=True))
         p /= p.sum(axis=1, keepdims=True)
-        return batch_terms(p, scores, sup, alpha=alpha)[0].total
+        return batch_terms(p, scores, sup, alpha, work)[0].total
 
     logits = np.log(probs)
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    _, grad2, _ = batch_terms(shifted / shifted.sum(axis=1, keepdims=True), scores, sup, alpha=alpha)
     numeric = finite_difference(total_from_logits, list(logits.ravel()), h=1e-6)
+    _, grad2, _ = batch_terms(shifted / shifted.sum(axis=1, keepdims=True), scores, sup, alpha, work)
     assert_gradients_close(grad2.ravel(), numeric, rel_tol=1e-4, abs_tol=1e-7)
 
 
@@ -454,9 +469,9 @@ def _bits(x):
 
 class TestBatchTermsInWorkspace:
     """batch_terms and Supervision.stack through one workspace, as training
-    calls them, against fresh arrays and the numpy-reduction reference, bit
-    for bit: a full batch, a short one, then a full one again, so a buffer
-    row left over from a longer batch would show."""
+    calls them, against a fresh workspace per call and the numpy-reduction
+    reference, bit for bit: a full batch, a short one, then a full one again,
+    so a buffer row left over from a longer batch would show."""
 
     K = 11
 
@@ -484,20 +499,21 @@ class TestBatchTermsInWorkspace:
         rng = np.random.default_rng(["hard", "soft", "mixed"].index(kind))
         lab = self.pool(rng, 3000, True, soft=kind == "soft")
         uns = self.pool(rng, 3000, False, soft=kind != "hard")
-        work = model.Workspace(model.init_params(4, 5, self.K, seed=0), rows=2506)
+        work = _work(2506, self.K)
         for n_lab, n_uns in ((256, 2250), (16, 192), (250, 2256)):
             rows = [rng.permutation(3000)[:n_lab], rng.permutation(3000)[:n_uns]]
             probs = np.concatenate([lab[0][rows[0]], uns[0][rows[1]]])
             scores = np.concatenate([lab[1][rows[0]], uns[1][rows[1]]])
             scores[:4] = [0.0, 1.0, 1e-13, 1.0 - 1e-13]
             parts = [(lab[2], rows[0]), (uns[2], rows[1])]
-            fresh = Supervision.stack(parts)
+            fresh_work = _work(n_lab + n_uns, self.K)
+            fresh = Supervision.stack(parts, fresh_work)
             in_work = Supervision.stack(parts, work)
             for name in ("labeled", "targets", "neg_mask", "pos_mask", "mask_targets", "soft"):
                 a, b = getattr(fresh, name), getattr(in_work, name)
                 assert (a is None) == (b is None) and (a is None or np.array_equal(a, b, equal_nan=True)), name
             got = batch_terms(probs, scores, in_work, 0.7, work)
-            want = batch_terms(probs, scores, fresh, 0.7)
+            want = batch_terms(probs, scores, fresh, 0.7, fresh_work)
             terms, grad, grad_mask = _reference_batch_terms(probs, scores, fresh, 0.7)
             breakdown = got[0]
             assert breakdown == want[0]
@@ -512,7 +528,7 @@ class TestBatchTermsInWorkspace:
         probs, scores, sup = self.pool(rng, 300, True, soft=True)
         sup.labeled[:] = rng.random(300) < 0.3
         sup.mask_targets[rng.random(300) < 0.2] = np.nan
-        breakdown, grad, grad_mask = batch_terms(probs, scores, sup, 0.4)
+        breakdown, grad, grad_mask = batch_terms(probs, scores, sup, 0.4, _work(300, self.K))
         terms, want_grad, want_mask = _reference_batch_terms(probs, scores, sup, 0.4)
         assert [breakdown.target, breakdown.negative, breakdown.positive] == terms
         assert np.array_equal(_bits(grad), _bits(want_grad))

@@ -369,7 +369,7 @@ def test_training_sanity_two_class():
             pos_mask=np.zeros((len(rows), 3), dtype=bool),
             mask_targets=np.full(len(rows), np.nan),
         )
-        _, gl, gm = batch_terms(probs, scores, sup, alpha=0.0)
+        _, gl, gm = batch_terms(probs, scores, sup, 0.0, work)
         backward_batch(work, x[rows], gl, gm)
         step(work, learning_rate=5e-3)
     probs, _, _ = forward_batch(work.snapshot(), x)

@@ -443,8 +443,9 @@ class TestSelfTrainLoop:
         feats = build_pool(bench.unlabeled[:2], cfg).features
         ann = assign_annotation(params, feats, cfg)
         probs, scores, _ = model.forward_batch(params, feats)
-        first = batch_terms(probs, scores, ann, alpha=cfg.unlabeled_loss_weight)[0]
-        second = batch_terms(probs, scores, ann, alpha=cfg.unlabeled_loss_weight)[0]
+        work = model.Workspace(params, rows=len(feats))
+        first = batch_terms(probs, scores, ann, cfg.unlabeled_loss_weight, work)[0]
+        second = batch_terms(probs, scores, ann, cfg.unlabeled_loss_weight, work)[0]
         assert first == second
 
 
