@@ -153,7 +153,10 @@ def sharpen_rows(probs: np.ndarray, temperature: float) -> np.ndarray:
         raise BadTemperatureError(f"temperature must be > 0, got {temperature!r}")
     if temperature == 1.0:
         return probs.copy()
-    logs = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), -np.inf)
+    # One (N, K) temporary, written in place: log p, and -inf where p is not > 0.
+    logs = np.maximum(probs, 1e-300)
+    np.log(logs, out=logs)
+    np.copyto(logs, -np.inf, where=~(probs > 0.0))
     logs /= temperature
     return softmax_rows(logs, out=logs)
 
