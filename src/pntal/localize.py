@@ -474,9 +474,11 @@ def write_detections(path, table: DetectionTable) -> None:
 
 
 def load_detections(path) -> DetectionTable:
-    """Read a write_detections dump; a line that is not a valid detection with
-    a finite score raises MalformedDetectionError naming path:line."""
-    rows = []
+    """A write_detections dump as columns, checked as arrays (0 <= start <= end,
+    class_idx >= 1, a finite score, integers within int64); the first bad line
+    in the file raises MalformedDetectionError naming path:line."""
+    code: Dict[str, int] = {}
+    rows, fault = [], None
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, 1):
             try:
@@ -485,10 +487,26 @@ def load_detections(path) -> DetectionTable:
                     continue
                 if len(parts) != 5:
                     raise ValueError(f"expected 5 fields, got {len(parts)}")
-                score = float(parts[4])
-                if not math.isfinite(score):
-                    raise ValueError(f"score {parts[4]!r} is not finite")
-                rows.append(Detection(parts[0], int(parts[1]), int(parts[2]), int(parts[3]), score))
+                video = code.setdefault(parts[0], len(code))
+                rows.append([line_no, video, *map(int, parts[1:4]), float(parts[4]), parts[4]])
             except ValueError as exc:
-                raise MalformedDetectionError(f"{path}:{line_no}: {exc}") from None
-    return detection_table(rows)
+                fault = f"{line_no}: {exc}"  # no later line can come first
+                break
+    # Object columns hold Python's ints, so the int64 bounds compare exactly.
+    line_nos, video, *ints, score, text = np.array(rows, dtype=object).reshape(-1, 7).T
+    start, end, class_idx = ints
+    faults = np.column_stack([  # one column per fault, in the order a line reports them
+        ~np.isfinite(score.astype(np.float64)), *((col < -2**63) | (col >= 2**63) for col in ints),
+        ~((0 <= start) & (start <= end)), class_idx < 1,
+    ])
+    if faults.any():
+        i = faults.any(axis=1).argmax()
+        fault = f"{line_nos[i]}: " + (
+            f"score {text[i]!r} is not finite",
+            *(f"{name} {col[i]} does not fit in int64" for name, col in zip(_COLUMNS[1:4], ints)),
+            f"detection span {start[i]}..{end[i]} needs 0 <= start <= end",
+            "class_idx must be a 1-based action class",
+        )[faults[i].argmax()]
+    if fault is not None:
+        raise MalformedDetectionError(f"{path}:{fault}")
+    return DetectionTable(list(code), video, start, end, class_idx, score)

@@ -11,11 +11,12 @@ with its analytic gradient with respect to the classification logits (or the
 mask scores); clamped entries contribute zero gradient so the analytic
 gradients agree with finite differences of the clamped losses.
 
-What each row learns from is one ``Supervision``: whether the row is
-ground truth, its hard target, its negative and positive masks, its mask-head
-target (NaN for none) and, optionally, a soft label. Training builds one for
-the labeled pool per phase and one for the unlabeled pool per epoch, then
-takes each step's rows from both with ``Supervision.stack``.
+What each row learns from is one ``Supervision``: whether the row is ground
+truth, its hard target, its negative and positive masks and, optionally, a
+soft label (``batch_terms`` derives the mask target from the hard target).
+Training builds one for the labeled pool per phase and one for the unlabeled
+pool per epoch, then takes each step's rows from both with
+``Supervision.stack``.
 
 Both take a ``model.Workspace``: ``Supervision.stack`` gathers into its
 buffers and ``batch_terms`` writes every temporary and both gradients into
@@ -94,16 +95,14 @@ class Supervision:
 
     labeled flags ground-truth rows; targets holds 1-based hard target ids;
     neg/pos masks hold subspace membership per row (all-False where unused).
-    mask_targets is NaN for rows without mask supervision. soft, when given,
-    is an (N, K) matrix of label distributions that replaces the one-hot
-    target rows in the target term.
+    soft, when given, is an (N, K) matrix of label distributions that
+    replaces the one-hot target rows in the target term.
     """
 
     labeled: np.ndarray  # (N,) bool
     targets: np.ndarray  # (N,) int
     neg_mask: np.ndarray  # (N, K) bool
     pos_mask: np.ndarray  # (N, K) bool
-    mask_targets: np.ndarray  # (N,) float
     soft: Optional[np.ndarray] = None  # (N, K) or None
 
     @classmethod
@@ -142,7 +141,6 @@ class Supervision:
             targets=targets,
             neg_mask=gather("neg_mask"),
             pos_mask=gather("pos_mask"),
-            mask_targets=gather("mask_targets"),
             soft=soft,
         )
 
@@ -169,9 +167,11 @@ def batch_terms(probs: np.ndarray, mask_scores: np.ndarray, supervision: Supervi
     """Loss breakdown plus gradients w.r.t. logits and mask scores.
 
     Supervised rows average with weight 1/N_labeled, unsupervised rows with
-    alpha/N_unsupervised, mask BCE with 1/N_masked; the returned gradients are
-    exactly the gradients of breakdown.total. Every temporary and both
-    gradients live in the workspace's buffers.
+    alpha/N_unsupervised, and the mask BCE likewise; a row's mask target is 1
+    exactly when its hard target is an action class (targets != K, the
+    background being class K). The returned gradients are exactly the
+    gradients of breakdown.total. Every temporary and both gradients live in
+    the workspace's buffers.
     """
     p = probs
     n, k = p.shape
@@ -231,19 +231,13 @@ def batch_terms(probs: np.ndarray, mask_scores: np.ndarray, supervision: Supervi
     negative_comp = split(neg_rows)
     positive_comp = split(pos_rows)
 
-    # Mask BCE, averaged separately over ground-truth and pseudo targets; the
-    # pseudo part carries the unsupervised weight like every unlabeled term.
-    # Rows without a mask target drop out of both.
-    masked = np.isfinite(supervision.mask_targets)
+    foreground = supervision.targets != k
     grad_mask = work.buffer("batch_terms.grad_mask", n)
-    grad_mask.fill(0.0)
     mask_comp = 0.0
-    for rows_sel, weight in ((masked & labeled, 1.0), (masked & ~labeled, alpha)):
-        scores = mask_scores[rows_sel]
-        if len(scores):
-            part, g = mask_loss(scores, supervision.mask_targets[rows_sel])
-            mask_comp += weight * part
-            grad_mask[rows_sel] = weight * g
+    for rows_sel, weight in ((labeled, 1.0), (~labeled, alpha)):
+        part, g = mask_loss(mask_scores[rows_sel], foreground[rows_sel])
+        mask_comp += weight * part
+        grad_mask[rows_sel] = weight * g
 
     total = target_comp + positive_comp + negative_comp + mask_comp
     breakdown = LossBreakdown(

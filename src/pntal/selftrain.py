@@ -126,25 +126,12 @@ def _labeled_pool(videos: Sequence[VideoRecord], config: ExperimentConfig) -> Po
 build_unlabeled_pool = build_pool
 
 
-def _supervision(targets, neg_mask, pos_mask, labeled: bool, soft=None) -> losses.Supervision:
-    """Rows of one kind, ground truth or pseudo-labeled; each row's mask
-    target is 1 iff its target is an action class (not the background)."""
-    return losses.Supervision(
-        labeled=np.full(len(targets), labeled),
-        targets=targets,
-        neg_mask=neg_mask,
-        pos_mask=pos_mask,
-        mask_targets=(targets != neg_mask.shape[1]).astype(np.float64),
-        soft=soft,
-    )
-
-
 def _ground_truth(pool: Pool, config: ExperimentConfig, negatives: bool) -> losses.Supervision:
     """A labeled pool's supervision: its true classes, with every non-target
     class negative when ``negatives``."""
     classes = np.arange(1, config.label_count + 1)
     neg_mask = (pool.labels[:, None] != classes) & negatives
-    return _supervision(pool.labels, neg_mask, np.zeros_like(neg_mask), labeled=True)
+    return losses.Supervision(np.ones(len(pool.labels), bool), pool.labels, neg_mask, np.zeros_like(neg_mask))
 
 
 def sharpen_rows(probs: np.ndarray, temperature: float) -> np.ndarray:
@@ -205,7 +192,7 @@ def assign_annotation(
         # Full-distribution CE against the same tempered distribution the
         # partition pipeline produces as its pseudo-label.
         soft = sharpened
-    return _supervision(targets, neg_mask, pos_mask, labeled=False, soft=soft)
+    return losses.Supervision(np.zeros(len(targets), bool), targets, neg_mask, pos_mask, soft)
 
 
 @dataclass(frozen=True)

@@ -189,7 +189,6 @@ def test_criterion_3_gradient_suite():
         for i in range(n):
             neg_mask[i, targets[i] - 1] = False
             pos_mask[i, targets[i] - 1] = False
-        mask_targets = np.where(labeled, case_rng.integers(0, 2, size=n).astype(float), np.nan)
 
         loss_work = model.Workspace(params, rows=n)
 
@@ -197,7 +196,6 @@ def test_criterion_3_gradient_suite():
             probs, scores, hidden = model.forward_batch(p, x, work)
             sup = Supervision(
                 labeled=labeled, targets=targets, neg_mask=neg_mask, pos_mask=pos_mask,
-                mask_targets=mask_targets,
             )
             breakdown, gl, gm = batch_terms(probs, scores, sup, 0.7, loss_work)
             return breakdown.total, gl, gm, hidden

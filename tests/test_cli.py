@@ -144,7 +144,8 @@ class TestExitCodes:
 
     def test_malformed_detections(self, tmp_path, capsys, generate_calls):
         good = "v\t0\t4\t1\t0.5\n"
-        for i, bad in enumerate(("v\t0\t4\t1\n", "v\t5\t4\t1\t0.5\n", "v\t0\t4\t1\tnan\n")):
+        for i, bad in enumerate(("v\t0\t4\t1\n", "v\t5\t4\t1\t0.5\n", "v\t0\t4\t1\tnan\n",
+                                 "v\t0\t99999999999999999999\t1\t0.5\n")):
             path = tmp_path / f"bad{i}.tsv"
             path.write_text(good + bad)
             assert main(["evaluate", "--detections", str(path), "--out", str(tmp_path / "o")]) == 2

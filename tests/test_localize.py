@@ -417,7 +417,8 @@ def test_load_detections_rejects_malformed_lines(tmp_path):
     good = "v\t0\t4\t1\t0.5\n"
     for bad in ("v\t0\t4\t1\n", "v\t5\t4\t1\t0.5\n", "v\t0\t4\t0\t0.5\n",
                 "v\tzero\t4\t1\t0.5\n", "v\t0\t4\t1\tnan\n", "v\t0\t4\t1\t-inf\n",
-                "v\t-3\t5\t1\t0.5\n"):
+                "v\t-3\t5\t1\t0.5\n", "v\t0\t99999999999999999999\t1\t0.5\n",
+                "v\t-99999999999999999999\t4\t1\t0.5\n", "v\t0\t4\t9223372036854775808\t0.5\n"):
         path = tmp_path / "dets.tsv"
         path.write_text(good + "\n" + bad)
         with pytest.raises(MalformedDetectionError, match=f"{path}:3: "):
@@ -425,10 +426,25 @@ def test_load_detections_rejects_malformed_lines(tmp_path):
     path.write_bytes(good.encode() + b"v\t0\t4\t1\t0.5\xff\n")
     with pytest.raises(MalformedDetectionError, match=":2: "):
         load_detections(path)
+    # The first bad line is reported, whether its fault is a range (checked
+    # over the columns) or a parse fault; blank lines keep the numbering.
+    span, parse = "v\t5\t4\t1\t0.5\n", "v\tzero\t4\t1\t0.5\n"
+    for text, where, message in (
+        (good + span + good + parse, ":2: ", "detection span 5..4"),
+        (good + parse + good + span, ":2: ", "invalid literal"),
+        ("\n" + good + "\n\n" + span, ":5: ", "detection span 5..4"),
+        ("\n\n" + parse, ":3: ", "invalid literal"),
+        (good + "v\t0\t4\t1\t1e999\n", ":2: ", "score '1e999' is not finite"),
+        (good + "v\t0\t99999999999999999999\t1\t0.5\n", ":2: ", "end 99999999999999999999 does not fit"),
+    ):
+        path.write_text(text)
+        with pytest.raises(MalformedDetectionError, match=f"{where}{message}"):
+            load_detections(path)
 
 
 def test_detection_dump_round_trip(tmp_path):
-    dets = [det("video-a", 3, 17, 2, 0.123456789012345), det("video-b", 0, 4, 1, 1.0)]
+    dets = [det("video-a", 3, 17, 2, 0.123456789012345), det("video-b", 0, 4, 1, 1.0),
+            det("video-a", 5, 5, 3, 0.5)]
     path = tmp_path / "dets.tsv"
     write_detections(path, detection_table(dets))
     loaded = load_detections(path)

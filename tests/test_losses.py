@@ -22,7 +22,7 @@ def _work(n, k):
     return model.Workspace(model.init_params(1, 1, k, seed=0), rows=n)
 
 
-def _batch(probs, mask_scores, rows, mask_targets=None):
+def _batch(probs, mask_scores, rows):
     """batch_terms' (probs, mask scores, supervision) for one row per
     probability vector.
 
@@ -32,14 +32,11 @@ def _batch(probs, mask_scores, rows, mask_targets=None):
     soft row, the other rows carry one-hot soft labels.
     """
     n, k = len(rows), len(probs[0])
-    if mask_targets is None:
-        mask_targets = [None] * n
     sup = Supervision(
         labeled=np.array([row[0] == "gt" for row in rows]),
         targets=np.zeros(n, dtype=np.int64),
         neg_mask=np.zeros((n, k), dtype=bool),
         pos_mask=np.zeros((n, k), dtype=bool),
-        mask_targets=np.array([np.nan if t is None else t for t in mask_targets]),
     )
     for i, row in enumerate(rows):
         if row[0] == "gt":
@@ -249,7 +246,7 @@ def _loss(batch, config):
 def _batch_fixture():
     probs = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]
     rows = [("gt", 1), ("pseudo", 2, {1}, {3}), ("pseudo", 3, set(), set())]
-    return rows, probs, [1.0, None, None]
+    return rows, probs
 
 
 def _supervision(labeled, targets, k, soft=None):
@@ -262,7 +259,6 @@ def _supervision(labeled, targets, k, soft=None):
         targets=targets,
         neg_mask=rng.random((n, k)) < 0.5,
         pos_mask=rng.random((n, k)) < 0.5,
-        mask_targets=rng.random(n) if labeled else np.full(n, np.nan),
         soft=soft,
     )
 
@@ -273,9 +269,9 @@ class TestSupervisionStack:
         b = _supervision(False, [4, 3, 1], 4)
         rows_a, rows_b = np.array([4, 0, 2]), np.array([1, 2])
         out = Supervision.stack([(a, rows_a), (b, rows_b)], _work(5, 4))
-        for name in ("labeled", "targets", "neg_mask", "pos_mask", "mask_targets"):
+        for name in ("labeled", "targets", "neg_mask", "pos_mask"):
             want = np.concatenate([getattr(a, name)[rows_a], getattr(b, name)[rows_b]])
-            assert np.array_equal(getattr(out, name), want, equal_nan=name == "mask_targets")
+            assert np.array_equal(getattr(out, name), want)
         assert out.soft is None
 
     def test_hard_part_beside_soft_part_gets_one_hot_rows(self):
@@ -293,7 +289,7 @@ class TestSupervisionStack:
         b = _supervision(False, [1, 3], 4, soft=np.full((2, 4), 0.25))
         none = np.zeros(0, dtype=np.int64)
         out = Supervision.stack([(a, none), (b, none)], _work(0, 4))
-        assert out.targets.shape == out.labeled.shape == out.mask_targets.shape == (0,)
+        assert out.targets.shape == out.labeled.shape == (0,)
         assert out.neg_mask.shape == out.pos_mask.shape == out.soft.shape == (0, 4)
         out = Supervision.stack([(a, np.array([1])), (b, none)], _work(1, 4))
         assert np.array_equal(out.targets, [4]) and np.array_equal(out.soft, np.eye(4)[[3]])
@@ -320,23 +316,43 @@ class TestCombinedLoss:
     def test_pseudo_with_empty_sets(self):
         config = ExperimentConfig(unlabeled_loss_weight=0.7)
         breakdown = _loss(_batch([[0.5, 0.3, 0.2]], [0.5], [("pseudo", 1, set(), set())]), config)
-        assert breakdown.total == pytest.approx(0.7 * -math.log(0.5), abs=1e-12)
+        # Target 1 is an action class, so the row's mask target is 1: -log 0.5 at score 0.5.
+        assert breakdown.mask == pytest.approx(0.7 * math.log(2.0), abs=1e-12)
+        assert breakdown.total == pytest.approx(0.7 * -math.log(0.5) + 0.7 * math.log(2.0), abs=1e-12)
         assert breakdown.positive == 0.0
         assert breakdown.negative == 0.0
 
     def test_alpha_zero_kills_unlabeled(self):
-        rows, probs, mask_targets = _batch_fixture()
+        rows, probs = _batch_fixture()
         config = ExperimentConfig(unlabeled_loss_weight=0.0)
-        breakdown = _loss(_batch(probs, [0.5, 0.5, 0.5], rows, mask_targets), config)
-        only_labeled = _loss(_batch(probs[:1], [0.5], rows[:1], mask_targets[:1]), config)
+        breakdown = _loss(_batch(probs, [0.5, 0.5, 0.5], rows), config)
+        only_labeled = _loss(_batch(probs[:1], [0.5], rows[:1]), config)
         assert breakdown.target == pytest.approx(only_labeled.target, abs=1e-12)
         assert breakdown.positive == 0.0
 
     def test_total_decomposes(self):
-        rows, probs, mask_targets = _batch_fixture()
+        rows, probs = _batch_fixture()
         config = ExperimentConfig(unlabeled_loss_weight=0.7)
-        b = _loss(_batch(probs, [0.6, 0.4, 0.5], rows, mask_targets), config)
+        b = _loss(_batch(probs, [0.6, 0.4, 0.5], rows), config)
         assert b.total == pytest.approx(b.target + b.positive + b.negative + b.mask, abs=1e-12)
+
+    def test_mask_target_is_the_hard_target_foreground(self):
+        # Class 4 is the background: ground-truth, pseudo and soft rows are
+        # foreground exactly when their hard target (a soft row's argmax) is 1-3.
+        rows = [("gt", 4), ("gt", 2), ("pseudo", 4, {1}, set()), ("pseudo", 1, {2, 4}, {3}),
+                ("pseudo", 3, set(), set()), ("soft", [0.1, 0.2, 0.1, 0.6])]
+        probs = np.random.default_rng(4).dirichlet(np.ones(4), size=len(rows))
+        probs, scores, sup = _batch(probs, [0.9, 0.3, 0.2, 0.7, 0.6, 0.1], rows)
+        assert sup.targets.tolist() == [4, 2, 4, 1, 3, 4]
+        breakdown, _, grad_mask = batch_terms(probs, scores, sup, 0.7, _work(len(rows), 4))
+        foreground = (sup.targets != 4).astype(np.float64)
+        lab = sup.labeled
+        lab_loss, lab_grad = mask_loss(scores[lab], foreground[lab])
+        uns_loss, uns_grad = mask_loss(scores[~lab], foreground[~lab])
+        assert breakdown.mask == lab_loss + 0.7 * uns_loss
+        want = np.zeros(len(rows))
+        want[lab], want[~lab] = lab_grad, 0.7 * uns_grad
+        assert np.array_equal(_bits(grad_mask), _bits(want))
 
     def test_soft_supervision(self):
         q = [0.6, 0.3, 0.1]
@@ -364,13 +380,11 @@ def _check_batch_against_per_row_ops(unlabeled_rows):
     targets = rng.integers(1, k + 1, size=n)
     neg_mask = np.zeros((n, k), dtype=bool)
     pos_mask = np.zeros((n, k), dtype=bool)
-    mask_targets = np.full(n, np.nan)
     soft = np.zeros((n, k)) if unlabeled_rows == "soft" else None
     for i in range(n):
         if labeled[i]:
             neg_mask[i] = True
             neg_mask[i, targets[i] - 1] = False
-            mask_targets[i] = float(rng.integers(0, 2))
         elif soft is not None:
             soft[i] = rng.dirichlet(np.ones(k))
             targets[i] = int(np.argmax(soft[i])) + 1
@@ -387,7 +401,7 @@ def _check_batch_against_per_row_ops(unlabeled_rows):
     alpha = 0.6
     sup = Supervision(
         labeled=labeled, targets=targets, neg_mask=neg_mask, pos_mask=pos_mask,
-        mask_targets=mask_targets, soft=soft,
+        soft=soft,
     )
 
     work = _work(n, k)
@@ -450,11 +464,12 @@ def _reference_batch_terms(p, mask_scores, sup, alpha):
     uns_w = alpha / (n - n_lab) if n - n_lab else 0.0
     grad *= np.where(lab, lab_w, uns_w)[:, None]
     terms = [float(v[lab].sum()) * lab_w + float(v[~lab].sum()) * uns_w for v in (tgt_rows, neg_rows, pos_rows)]
-    masked = np.isfinite(sup.mask_targets)
+    # A row's mask target is 1 exactly when its hard target is not the background K.
+    foreground = (sup.targets != k).astype(np.float64)
     grad_mask = np.zeros(n)
-    for sel, weight in ((masked & lab, 1.0), (masked & ~lab, alpha)):
+    for sel, weight in ((lab, 1.0), (~lab, alpha)):
         if sel.any():
-            s, t = mask_scores[sel], sup.mask_targets[sel]
+            s, t = mask_scores[sel], foreground[sel]
             g = np.zeros(len(s))
             on, off = s > 1e-12, 1.0 - s > 1e-12
             g[on] += -t[on] / s[on]
@@ -486,7 +501,6 @@ class TestBatchTermsInWorkspace:
             targets=targets,
             neg_mask=rng.random((n, k)) < 0.5,
             pos_mask=rng.random((n, k)) < 0.2,
-            mask_targets=np.where(rng.random(n) < 0.1, np.nan, (targets != k).astype(np.float64)),
             soft=np.exp(-np.abs(rng.normal(size=(n, k))) * 9.0) if soft else None,
         )
         if soft:
@@ -509,9 +523,9 @@ class TestBatchTermsInWorkspace:
             fresh_work = _work(n_lab + n_uns, self.K)
             fresh = Supervision.stack(parts, fresh_work)
             in_work = Supervision.stack(parts, work)
-            for name in ("labeled", "targets", "neg_mask", "pos_mask", "mask_targets", "soft"):
+            for name in ("labeled", "targets", "neg_mask", "pos_mask", "soft"):
                 a, b = getattr(fresh, name), getattr(in_work, name)
-                assert (a is None) == (b is None) and (a is None or np.array_equal(a, b, equal_nan=True)), name
+                assert (a is None) == (b is None) and (a is None or np.array_equal(a, b)), name
             got = batch_terms(probs, scores, in_work, 0.7, work)
             want = batch_terms(probs, scores, fresh, 0.7, fresh_work)
             terms, grad, grad_mask = _reference_batch_terms(probs, scores, fresh, 0.7)
@@ -527,7 +541,6 @@ class TestBatchTermsInWorkspace:
         rng = np.random.default_rng(5)
         probs, scores, sup = self.pool(rng, 300, True, soft=True)
         sup.labeled[:] = rng.random(300) < 0.3
-        sup.mask_targets[rng.random(300) < 0.2] = np.nan
         breakdown, grad, grad_mask = batch_terms(probs, scores, sup, 0.4, _work(300, self.K))
         terms, want_grad, want_mask = _reference_batch_terms(probs, scores, sup, 0.4)
         assert [breakdown.target, breakdown.negative, breakdown.positive] == terms

@@ -367,7 +367,6 @@ def test_training_sanity_two_class():
             targets=labels[rows],
             neg_mask=np.zeros((len(rows), 3), dtype=bool),
             pos_mask=np.zeros((len(rows), 3), dtype=bool),
-            mask_targets=np.full(len(rows), np.nan),
         )
         _, gl, gm = batch_terms(probs, scores, sup, 0.0, work)
         backward_batch(work, x[rows], gl, gm)

@@ -345,7 +345,7 @@ class TestSubspaceStatistics:
             pos_mask[i, [c - 1 for c in brute_force_positives(row, negatives, 0.85)]] = True
         ann = Supervision(
             labeled=np.zeros(len(truths), dtype=bool), targets=truths, neg_mask=neg_mask,
-            pos_mask=pos_mask, mask_targets=np.full(len(truths), np.nan),
+            pos_mask=pos_mask,
         )
         stats = subspace_statistics(ann, truths)
         assert stats.target_rate == pytest.approx(1.0)
