@@ -1,6 +1,6 @@
 """Shared domain types: action instances, videos, config, the class-axis
-kernels and row softmax, the row gather into buffers, and the model's input
-matrix of a video.
+kernels and row softmax, the row gather into buffers, the seeded random
+streams, and the model's input matrix of a video.
 
 Class ids are 1-based throughout the public API: action classes are 1..C and
 the background class is C+1. Class distributions are the rows of plain
@@ -41,6 +41,10 @@ class Error(Exception):
 
 class NonFiniteError(Error, ValueError):
     pass
+
+
+class ShapeMismatchError(Error, ValueError):
+    """An array or record whose shape does not fit what the call needs."""
 
 
 class BadConfigError(Error, ValueError):
@@ -96,6 +100,12 @@ def row_sum(x: np.ndarray) -> np.ndarray:
     total = _pairwise_columns(x, 0, x.shape[1])
     total += 0.0
     return total
+
+
+def stream_rng(seed: int, stream: int, index: int) -> np.random.Generator:
+    """The generator of one random stream: ``stream`` tags its use (a
+    split, a video set, a batch order) and ``index`` its video or epoch."""
+    return np.random.default_rng(np.random.SeedSequence([seed, stream, index]))
 
 
 def stack_rows(parts, out: np.ndarray) -> np.ndarray:
@@ -258,11 +268,6 @@ class ExperimentConfig:
             if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
                 raise BadConfigError(name, f"must be an integer >= {minimum}, got {v!r}")
 
-        def nonneg_int(name):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise BadConfigError(name, f"must be an integer >= 0, got {v!r}")
-
         def finite(name):
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
@@ -273,7 +278,7 @@ class ExperimentConfig:
                      "train_video_count", "test_video_count", "batch_size", "hidden_width"):
             positive_int(name)
         for name in ("pretrain_epochs", "selftrain_epochs", "feature_window", "seed"):
-            nonneg_int(name)
+            positive_int(name, 0)
         needed = prototype_dimensions(self.class_count)
         if self.feature_dim < needed:
             raise BadConfigError(

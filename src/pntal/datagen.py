@@ -32,7 +32,15 @@ from typing import Dict, List
 
 import numpy as np
 
-from .core import ActionInstance, Error, ExperimentConfig, VideoRecord, prototype_dimensions
+from .core import (
+    ActionInstance,
+    Error,
+    ExperimentConfig,
+    ShapeMismatchError,
+    VideoRecord,
+    prototype_dimensions,
+    stream_rng,
+)
 
 MAX_INSTANCES = 5
 MIN_DURATION = 8
@@ -56,10 +64,6 @@ class BadMagicError(Error, ValueError):
 
 
 class VersionMismatchError(Error, ValueError):
-    pass
-
-
-class ShapeMismatchError(Error, ValueError):
     pass
 
 
@@ -178,10 +182,6 @@ WEAK_RENDER_RANGE = (0.60, 0.80)  # strictly above 0.5: own prototype beats back
 DISTRACTOR_RANGE = (0.25, 0.48)  # strictly below 0.5: background stays nearest
 
 
-def _video_rng(seed: int, stream: int, index: int):
-    return np.random.default_rng(np.random.SeedSequence([seed, stream, index]))
-
-
 def _instance_render(rng, class_idx, siblings, protos, ambiguous_ratio):
     """Rendered base feature for one instance (before per-snippet noise):
     the class prototype, a blend toward a sibling class, or a weak render."""
@@ -243,7 +243,7 @@ def generate_benchmark(config: ExperimentConfig) -> Benchmark:
     protos = class_prototypes(
         config.class_count, config.feature_dim, config.class_separation, config.seed
     )
-    split_rng = _video_rng(config.seed, _STREAM_SPLIT, 0)
+    split_rng = stream_rng(config.seed, _STREAM_SPLIT, 0)
     order = split_rng.permutation(config.train_video_count)
     labeled_ids = set(int(i) for i in order[: labeled_video_count(config)])
 
@@ -253,7 +253,7 @@ def generate_benchmark(config: ExperimentConfig) -> Benchmark:
         is_labeled = i in labeled_ids
         video_id = f"train-{i:04d}"
         record, instances = _make_video(
-            video_id, _video_rng(config.seed, _STREAM_TRAIN, i), protos, config, is_labeled
+            video_id, stream_rng(config.seed, _STREAM_TRAIN, i), protos, config, is_labeled
         )
         if is_labeled:
             labeled.append(record)
@@ -263,7 +263,7 @@ def generate_benchmark(config: ExperimentConfig) -> Benchmark:
     test = []
     for i in range(config.test_video_count):
         record, _ = _make_video(
-            f"test-{i:04d}", _video_rng(config.seed, _STREAM_TEST, i), protos, config, True
+            f"test-{i:04d}", stream_rng(config.seed, _STREAM_TEST, i), protos, config, True
         )
         test.append(record)
     return Benchmark(labeled=tuple(labeled), unlabeled=tuple(unlabeled), test=tuple(test), sealed=sealed)

@@ -79,14 +79,30 @@ class Detection:
     class_idx: int
     score: float
 
-    def __post_init__(self):
-        if not 0 <= self.start <= self.end:
-            raise ValueError(f"detection span {self.start}..{self.end} needs 0 <= start <= end")
-        if self.class_idx < 1:
-            raise ValueError("class_idx must be a 1-based action class")
-
 
 _COLUMNS = ("video", "start", "end", "class_idx", "score")
+
+
+def _first_fault(start, end, class_idx, score, shown):
+    """(row, message) of the first row of these object columns that breaks the
+    detection rule, or None. The rule: 0 <= start <= end, class_idx >= 1, a
+    finite score, integers within int64; ``shown`` is each row's score as its
+    message quotes it. Object columns hold Python's ints, so the int64 bounds
+    compare exactly."""
+    ints = (start, end, class_idx)
+    faults = np.column_stack([  # one column per fault, in the order a row reports them
+        ~np.isfinite(score.astype(np.float64)), *((col < -2**63) | (col >= 2**63) for col in ints),
+        ~((0 <= start) & (start <= end)), class_idx < 1,
+    ])
+    if not faults.any():
+        return None
+    i = faults.any(axis=1).argmax()
+    return i, (
+        f"score {shown[i]!r} is not finite",
+        *(f"{name} {col[i]} does not fit in int64" for name, col in zip(_COLUMNS[1:4], ints)),
+        f"detection span {start[i]}..{end[i]} needs 0 <= start <= end",
+        "class_idx must be a 1-based action class",
+    )[faults[i].argmax()]
 
 
 class DetectionTable:
@@ -123,16 +139,18 @@ class DetectionTable:
 
 def detection_table(detections: Union[DetectionTable, Sequence[Detection]]) -> DetectionTable:
     """A table as it is; Detection rows as a table in their order, each video
-    id coded by its first appearance."""
+    id coded by its first appearance, checked as load_detections checks a
+    dump: the first bad row raises MalformedDetectionError naming its index."""
     if isinstance(detections, DetectionTable):
         return detections
     rows = list(detections)
     code: Dict[str, int] = {}
     video = [code.setdefault(d.video_id, len(code)) for d in rows]
-    return DetectionTable(
-        list(code), video, [d.start for d in rows], [d.end for d in rows],
-        [d.class_idx for d in rows], [d.score for d in rows],
-    )
+    columns = [np.array([getattr(d, name) for d in rows], dtype=object) for name in _COLUMNS[1:]]
+    fault = _first_fault(*columns, shown=columns[3])
+    if fault is not None:
+        raise MalformedDetectionError("detection {}: {}".format(*fault))
+    return DetectionTable(list(code), video, *columns)
 
 
 def _id_codes(ids: Sequence[str], names: Sequence[str]) -> np.ndarray:
@@ -474,9 +492,9 @@ def write_detections(path, table: DetectionTable) -> None:
 
 
 def load_detections(path) -> DetectionTable:
-    """A write_detections dump as columns, checked as arrays (0 <= start <= end,
-    class_idx >= 1, a finite score, integers within int64); the first bad line
-    in the file raises MalformedDetectionError naming path:line."""
+    """A write_detections dump as columns, checked as arrays (_first_fault);
+    the first bad line in the file raises MalformedDetectionError naming
+    path:line."""
     code: Dict[str, int] = {}
     rows, fault = [], None
     with open(path, "rb") as fh:
@@ -492,21 +510,10 @@ def load_detections(path) -> DetectionTable:
             except ValueError as exc:
                 fault = f"{line_no}: {exc}"  # no later line can come first
                 break
-    # Object columns hold Python's ints, so the int64 bounds compare exactly.
-    line_nos, video, *ints, score, text = np.array(rows, dtype=object).reshape(-1, 7).T
-    start, end, class_idx = ints
-    faults = np.column_stack([  # one column per fault, in the order a line reports them
-        ~np.isfinite(score.astype(np.float64)), *((col < -2**63) | (col >= 2**63) for col in ints),
-        ~((0 <= start) & (start <= end)), class_idx < 1,
-    ])
-    if faults.any():
-        i = faults.any(axis=1).argmax()
-        fault = f"{line_nos[i]}: " + (
-            f"score {text[i]!r} is not finite",
-            *(f"{name} {col[i]} does not fit in int64" for name, col in zip(_COLUMNS[1:4], ints)),
-            f"detection span {start[i]}..{end[i]} needs 0 <= start <= end",
-            "class_idx must be a 1-based action class",
-        )[faults[i].argmax()]
+    line_nos, video, start, end, class_idx, score, text = np.array(rows, dtype=object).reshape(-1, 7).T
+    bad = _first_fault(start, end, class_idx, score, text)
+    if bad is not None:  # a bad row read before a parse fault comes first
+        fault = f"{line_nos[bad[0]]}: {bad[1]}"
     if fault is not None:
         raise MalformedDetectionError(f"{path}:{fault}")
     return DetectionTable(list(code), video, start, end, class_idx, score)

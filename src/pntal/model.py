@@ -2,10 +2,10 @@
 
 One shared hidden layer feeds a softmax classification head over C+1 classes
 and a sigmoid mask head that scores the snippet as foreground. Training runs
-in a Workspace: forward and backward write into its buffers, backward gives
-exact reverse-mode gradients, and updates use an adaptive-moment rule with
-bias correction over its flat parameter vector. The fine-tuning schedule
-applies cosine decay to the base learning rate.
+in a Workspace: forward and backward write into its named batch buffers,
+backward gives exact reverse-mode gradients, and updates use an
+adaptive-moment rule with bias correction over its flat parameter vector.
+The fine-tuning schedule applies cosine decay to the base learning rate.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Error, softmax_rows
+from .core import Error, ShapeMismatchError, softmax_rows
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -26,10 +26,6 @@ PARAM_FIELDS = ("trunk_w", "trunk_b", "class_w", "class_b", "mask_w", "mask_b")
 
 CHECKPOINT_MAGIC = "pntal-checkpoint"
 CHECKPOINT_VERSION = 1
-
-
-class ShapeMismatchError(Error, ValueError):
-    pass
 
 
 class NonFiniteGradientError(Error, RuntimeError):
@@ -47,7 +43,7 @@ class ModelParams:
     class_w: np.ndarray  # (h, C+1)
     class_b: np.ndarray  # (C+1,)
     mask_w: np.ndarray  # (h,)
-    mask_b: float  # a 0-d array view in Workspace.params
+    mask_b: float  # a 0-d array view in Workspace.params and Workspace.grads
 
     def __post_init__(self):
         d, h = self.trunk_w.shape
@@ -72,18 +68,6 @@ class ModelParams:
     @property
     def label_count(self) -> int:
         return self.class_w.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class ParamGrads:
-    """Named views of Workspace.grad, one per parameter field."""
-
-    trunk_w: np.ndarray
-    trunk_b: np.ndarray
-    class_w: np.ndarray
-    class_b: np.ndarray
-    mask_w: np.ndarray
-    mask_b: np.ndarray  # 0-d
 
 
 def _glorot(rng, fan_in, fan_out, shape):
@@ -119,16 +103,15 @@ class Workspace:
 
     ``theta``, ``grad``, ``m`` and ``v`` are flat float64 vectors of one
     layout: parameters, gradients and the two adaptive moments. ``params``
-    and ``grads`` are named views into ``theta`` and ``grad``, so ``step``
-    updates ``params`` in place in one elementwise pass. Construction copies
-    the given parameters; they are never written.
+    and ``grads`` are ModelParams of views into ``theta`` and ``grad``, so
+    ``step`` updates ``params`` in place in one elementwise pass.
+    Construction copies the given parameters; they are never written.
 
-    The batch buffers hold up to ``rows`` rows: ``features`` for the
-    caller's gather, then the activations and backward temporaries that
-    forward_batch and backward_batch write into their first n rows. Other
-    layers of a step (the supervision gather, the loss terms) take named
-    buffers of the same rows from ``buffer``. ``reserve`` sizes them all and
-    ``release`` frees them between uses.
+    Every batch array of a step is a named buffer of up to ``rows`` rows,
+    taken from ``buffer``: the caller's feature gather, the activations and
+    backward temporaries of forward_batch and backward_batch, the
+    supervision gather and the loss terms. ``reserve`` sizes the table and
+    ``release`` frees it between uses.
     """
 
     def __init__(self, params: ModelParams, rows: int = 0):
@@ -142,22 +125,12 @@ class Workspace:
         self._step_b = np.empty(size)
         self.step_count = 0
         self.params = ModelParams(**_views(self.theta, shapes))
-        self.grads = ParamGrads(**_views(self.grad, shapes))
+        self.grads = ModelParams(**_views(self.grad, shapes))
         self.reserve(rows)
 
     def reserve(self, rows: int) -> None:
         """Batch buffers for up to ``rows`` rows, replacing any held before."""
-        d, h, k = self.params.input_dim, self.params.hidden_width, self.params.label_count
         self.rows = rows
-        self.features = np.empty((rows, d))
-        self.hidden = np.empty((rows, h))
-        self.probs = np.empty((rows, k))
-        self.scores = np.empty(rows)
-        self.grad_hidden = np.empty((rows, h))
-        self.grad_hidden_mask = np.empty((rows, h))
-        self.active = np.empty((rows, h), dtype=bool)
-        self.grad_u = np.empty(rows)
-        self.grad_u_tmp = np.empty(rows)
         self.forward_rows = 0
         self._buffers = {}
 
@@ -187,23 +160,20 @@ def forward_batch(params: ModelParams, features: np.ndarray, work: Optional[Work
 
     Returns (probs (N, K), mask_scores (N,), hidden (N, h)), the hidden
     activations after the ReLU. Given a workspace (whose ``params`` these
-    must be), the results are views of its buffers' first N rows, where
-    backward_batch reads them; otherwise they are new arrays.
+    must be), the results are its "probs", "scores" and "hidden" buffers,
+    where backward_batch reads them; otherwise they are new arrays.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ShapeMismatchError(
             f"features shape {x.shape} incompatible with input dim {params.input_dim}"
         )
-    n = x.shape[0]
+    n, h, k = x.shape[0], params.hidden_width, params.label_count
     if work is None:
-        hidden = np.empty((n, params.hidden_width))
-        probs = np.empty((n, params.label_count))
-        scores = np.empty(n)
-    elif n > work.rows:
-        raise ShapeMismatchError(f"batch of {n} rows exceeds the workspace's {work.rows}")
+        hidden, probs, scores = np.empty((n, h)), np.empty((n, k)), np.empty(n)
     else:
-        hidden, probs, scores = work.hidden[:n], work.probs[:n], work.scores[:n]
+        hidden = work.buffer("hidden", n, (h,))
+        probs, scores = work.buffer("probs", n, (k,)), work.buffer("scores", n)
         work.forward_rows = n
     np.matmul(x, params.trunk_w, out=hidden)
     hidden += params.trunk_b
@@ -222,7 +192,7 @@ def forward_batch(params: ModelParams, features: np.ndarray, work: Optional[Work
 
 def backward_batch(
     work: Workspace, features: np.ndarray, grad_logits: np.ndarray, grad_mask: np.ndarray
-) -> ParamGrads:
+) -> ModelParams:
     """Exact gradients of the workspace's last forward pass, into work.grads.
 
     features are that pass's inputs; grad_logits is dLoss/dlogits (N, K) and
@@ -234,9 +204,9 @@ def backward_batch(
     gs = np.asarray(grad_mask, dtype=np.float64)
     if features.shape[0] != n or gl.shape != (n, work.params.label_count) or gs.shape != (n,):
         raise ShapeMismatchError("inputs and upstream gradients do not match the forward pass")
-    params, grads = work.params, work.grads
-    h, s = work.hidden[:n], work.scores[:n]
-    gu, tmp = work.grad_u[:n], work.grad_u_tmp[:n]
+    params, grads, width = work.params, work.grads, work.params.hidden_width
+    h, s = work.buffer("hidden", n, (width,)), work.buffer("scores", n)
+    gu, tmp = work.buffer("grad_u", n), work.buffer("grad_u_tmp", n)
     np.multiply(gs, s, out=gu)
     np.subtract(1.0, s, out=tmp)
     gu *= tmp
@@ -245,7 +215,8 @@ def backward_batch(
     np.matmul(h.T, gu, out=grads.mask_w)
     np.sum(gu, out=grads.mask_b)
     # The ReLU ran in place: hidden > 0 exactly where pre-activation > 0.
-    dh, dh_mask, active = work.grad_hidden[:n], work.grad_hidden_mask[:n], work.active[:n]
+    dh, dh_mask = work.buffer("grad_hidden", n, (width,)), work.buffer("grad_hidden_mask", n, (width,))
+    active = work.buffer("active", n, (width,), bool)
     np.matmul(gl, params.class_w.T, out=dh)
     np.multiply(gu[:, None], params.mask_w[None, :], out=dh_mask)
     dh += dh_mask

@@ -56,6 +56,7 @@ from .core import (
     snippet_true_labels,
     softmax_rows,
     stack_rows,
+    stream_rng,
     video_feature_matrix,
 )
 from .partition import partition_rows
@@ -281,7 +282,8 @@ def _train_step(work: model.Workspace, parts, learning_rate, alpha):
     part order: forward, hybrid loss against the frozen supervision, backward,
     update. Every batch array lives in the workspace's buffers."""
     n = sum(len(rows) for _, _, rows in parts)
-    features = stack_rows([(x, rows) for x, _, rows in parts], work.features[:n])
+    gathered = work.buffer("features", n, (work.params.input_dim,))
+    features = stack_rows([(x, rows) for x, _, rows in parts], gathered)
     supervision = losses.Supervision.stack([(sup, rows) for _, sup, rows in parts], work)
     probs, scores, _ = model.forward_batch(work.params, features, work)
     breakdown, grad_logits, grad_mask = losses.batch_terms(probs, scores, supervision, alpha, work)
@@ -316,7 +318,7 @@ def pretrain(labeled_videos: Sequence[VideoRecord], config: ExperimentConfig) ->
     params = model.init_params(config.model_input_dim, config.hidden_width, config.label_count, config.seed)
     work = model.Workspace(params, rows=min(config.batch_size, pool.size))
     for epoch in range(config.pretrain_epochs):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_PRETRAIN, epoch]))
+        rng = stream_rng(config.seed, _STREAM_PRETRAIN, epoch)
         for rows in _epoch_batches(rng, pool.size, config.batch_size):
             # Every row is labeled, so no unsupervised weight applies.
             _train_step(work, [(pool.features, truth, rows)], config.learning_rate, alpha=0.0)
@@ -356,8 +358,8 @@ def self_train_loop(
             if ann.soft is None:
                 subspace = subspace_statistics(ann, unlabeled_pool.labels)
 
-        lab_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_LABELED, epoch]))
-        uns_rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_UNLABELED, epoch]))
+        lab_rng = stream_rng(config.seed, _STREAM_LABELED, epoch)
+        uns_rng = stream_rng(config.seed, _STREAM_UNLABELED, epoch)
         lab_batches = _epoch_batches(lab_rng, labeled_pool.size, config.batch_size)
         if unlabeled_pool.size and lab_batches:
             uns_chunks = np.array_split(uns_rng.permutation(unlabeled_pool.size), len(lab_batches))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pntal import datagen, selftrain
+from pntal import datagen, model, selftrain
 from pntal.core import Error, ExperimentConfig, VideoRecord, snippet_true_labels
 from pntal.datagen import (
     BadMagicError,
@@ -220,6 +220,7 @@ class TestFeatureContainer:
         with pytest.raises(ShapeMismatchError) as err:
             load_feature_file(path)
         assert video.video_id in str(err.value)
+        assert ShapeMismatchError is model.ShapeMismatchError
 
     def test_repeated_video_id_rejected(self, tmp_path):
         cfg = small_config()

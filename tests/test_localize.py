@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -440,6 +441,23 @@ def test_load_detections_rejects_malformed_lines(tmp_path):
         path.write_text(text)
         with pytest.raises(MalformedDetectionError, match=f"{where}{message}"):
             load_detections(path)
+    # A list of Detection rows keeps the same rule and names the first bad row's index.
+    for rows, message in (
+        ([("v", 0, 2**70, 1, 0.5)], "detection 0: end 1180591620717411303424 does not fit in int64"),
+        ([("v", 0, 4, 1, 0.5), ("v", -2**63 - 1, 4, 1, 0.5)], "detection 1: start -9223372036854775809"),
+        ([("v", 0, 4, 1, 0.5), ("v", 0, 4, 2**63, 0.5)], "detection 1: class_idx 9223372036854775808"),
+        ([("v", 0, 4, 1, 0.5), ("v", 0, 4, 1, math.nan)], "detection 1: score nan is not finite"),
+        ([("v", 0, 4, 1, -math.inf)], "detection 0: score -inf is not finite"),
+        ([("v", 0, 4, 1, 0.5), ("v", 5, 4, 1, 0.5), ("v", 0, 4, 0, 0.5)],
+         "detection 1: detection span 5..4 needs 0 <= start <= end"),
+        ([("v", -3, 5, 1, 0.5)], "detection 0: detection span -3..5"),
+        ([("w", 0, 4, 1, 0.5), ("v", 0, 4, 0, 0.5)], "detection 1: class_idx must be a 1-based action class"),
+    ):
+        dets = [Detection(*row) for row in rows]
+        with pytest.raises(MalformedDetectionError, match=re.escape(message)):
+            detection_table(dets)
+        with pytest.raises(MalformedDetectionError, match=re.escape(message)):
+            mean_average_precision(dets, {}, [0.5])
 
 
 def test_detection_dump_round_trip(tmp_path):

@@ -171,7 +171,7 @@ class TestWorkspace:
             gl = rng.normal(size=(n, k))
             gs = rng.normal(size=n)
             want_probs, want_scores, pre_hidden, hidden = reference_forward(ref, x)
-            features = work.features[:n]
+            features = work.buffer("features", n, (d,))
             features[...] = x
             probs, scores, got_hidden = forward_batch(work.params, features, work)
             assert np.array_equal(probs, want_probs)
@@ -205,6 +205,10 @@ class TestWorkspace:
         work = Workspace(init_params(3, 4, 3, seed=6), rows=2)
         with pytest.raises(ShapeMismatchError):
             forward_batch(work.params, np.ones((3, 3)), work)
+        forward_batch(work.params, np.ones((2, 3)), work)
+        work.release()
+        with pytest.raises(ShapeMismatchError):
+            forward_batch(work.params, np.ones((1, 3)), work)
 
     def test_named_buffers_live_until_reserve(self):
         work = Workspace(init_params(3, 4, 3, seed=6), rows=5)
