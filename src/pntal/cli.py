@@ -270,7 +270,7 @@ def run_experiment(
 def _load_checkpoint(path: str, config: ExperimentConfig) -> model.ModelParams:
     if not Path(path).is_file():
         raise MissingArtifactError(path, "model checkpoint")
-    return model.load_params(path, config.model_input_dim, config.hidden_width, config.label_count)
+    return model.load_params(path, config.feature_dim, config.hidden_width, config.label_count)
 
 
 def _sweep(
@@ -433,38 +433,44 @@ def _seed_count(raw: str) -> int:
     return count
 
 
-def _add_common(sub):
+_TRAINING_FLAGS = {
+    "--lambda": dict(type=float, dest="positive_confidence_ratio", help="positive-class confidence ratio"),
+    "--alpha": dict(type=float, dest="unlabeled_loss_weight", help="unsupervised loss weight"),
+    "--objective": dict(choices=list(OBJECTIVES)),
+}
+
+
+def _add_common(subs, name: str, *training: str) -> _Parser:
+    """A command's parser with the data flags and the given training flags:
+    those a self-training stage of the command reads and no variant overrides."""
+    sub = subs.add_parser(name)
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--seed", type=int, help="base RNG seed")
     sub.add_argument("--out", help="output directory (default: $PNTAL_OUT/<command>)")
     sub.add_argument("--labeled-ratio", type=float, dest="labeled_ratio")
-    sub.add_argument(
-        "--lambda", type=float, dest="positive_confidence_ratio",
-        help="positive-class confidence ratio",
-    )
-    sub.add_argument(
-        "--alpha", type=float, dest="unlabeled_loss_weight", help="unsupervised loss weight"
-    )
-    sub.add_argument("--objective", choices=list(OBJECTIVES))
+    for flag in training:
+        sub.add_argument(flag, **_TRAINING_FLAGS[flag])
+    return sub
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pntal", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("generate", "pretrain", "subspace-audit"):
-        _add_common(subs.add_parser(name))
-    st = subs.add_parser("selftrain")
-    _add_common(st)
+    for name in ("generate", "pretrain"):
+        _add_common(subs, name)
+    _add_common(subs, "subspace-audit", *_TRAINING_FLAGS)
+    st = _add_common(subs, "selftrain", *_TRAINING_FLAGS)
     st.add_argument("--params", help="pretrained checkpoint to start from")
-    ev = subs.add_parser("evaluate")
-    _add_common(ev)
+    ev = _add_common(subs, "evaluate")
     source = ev.add_mutually_exclusive_group(required=True)
     source.add_argument("--params", help="model checkpoint to evaluate")
     source.add_argument("--detections", help="detection dump to evaluate instead of a model")
-    for name in ("ablate-losses", "ablate-lambda", "compare-baselines"):
-        sweep = subs.add_parser(name)
-        _add_common(sweep)
+    # Each variant of ablate-losses and compare-baselines sets the objective,
+    # and each of ablate-lambda sets lambda as well.
+    for name, training in (("ablate-losses", ("--lambda", "--alpha")), ("ablate-lambda", ("--alpha",)),
+                           ("compare-baselines", ("--lambda", "--alpha"))):
+        sweep = _add_common(subs, name, *training)
         sweep.add_argument("--seeds", type=_seed_count, default=5, help="number of consecutive seeds")
         if name == "ablate-lambda":
             sweep.add_argument(
@@ -511,13 +517,9 @@ def _out_dir(args) -> Path:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        overrides = {
-            "seed": args.seed,
-            "labeled_ratio": args.labeled_ratio,
-            "positive_confidence_ratio": args.positive_confidence_ratio,
-            "unlabeled_loss_weight": args.unlabeled_loss_weight,
-            "objective": args.objective,
-        }
+        # A command without one of these flags leaves its field to the config.
+        fields = ("seed", "labeled_ratio", "positive_confidence_ratio", "unlabeled_loss_weight", "objective")
+        overrides = {name: getattr(args, name, None) for name in fields}
         config = load_config(args.config, overrides)
         if args.command in _SWEEPS:
             variants = _sweep_variants(args)

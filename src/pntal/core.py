@@ -1,6 +1,6 @@
 """Shared domain types: action instances, videos, config, the class-axis
-kernels and row softmax, the row gather into buffers, the seeded random
-streams, and the model's input matrix of a video.
+kernels and row softmax, the row gather into buffers and the seeded random
+streams.
 
 Class ids are 1-based throughout the public API: action classes are 1..C and
 the background class is C+1. Class distributions are the rows of plain
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -245,7 +246,6 @@ class ExperimentConfig:
     learning_rate: float = 3e-3
     batch_size: int = 256
     hidden_width: int = 64
-    feature_window: int = 0
     objective: str = "hybrid"
     soft_nms_sigma: float = 0.5
     soft_nms_floor: float = 0.1
@@ -255,11 +255,6 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "tiou_grid", tuple(float(x) for x in self.tiou_grid))
-        object.__setattr__(
-            self, "classification_thresholds", tuple(float(x) for x in self.classification_thresholds)
-        )
-        object.__setattr__(self, "mask_thresholds", tuple(float(x) for x in self.mask_thresholds))
         self._check()
 
     def _check(self):
@@ -277,7 +272,7 @@ class ExperimentConfig:
         for name in ("class_count", "feature_dim", "snippets_per_video",
                      "train_video_count", "test_video_count", "batch_size", "hidden_width"):
             positive_int(name)
-        for name in ("pretrain_epochs", "selftrain_epochs", "feature_window", "seed"):
+        for name in ("pretrain_epochs", "selftrain_epochs", "seed"):
             positive_int(name, 0)
         needed = prototype_dimensions(self.class_count)
         if self.feature_dim < needed:
@@ -312,11 +307,18 @@ class ExperimentConfig:
 
         for name in ("tiou_grid", "classification_thresholds", "mask_thresholds"):
             grid = getattr(self, name)
-            if len(grid) == 0:
-                raise BadConfigError(name, "must be non-empty")
-            for x in grid:
+            try:
+                entries = () if isinstance(grid, str) else tuple(grid)
+            except TypeError:
+                entries = ()
+            if not entries:
+                raise BadConfigError(name, f"must be a non-empty sequence of numbers, got {grid!r}")
+            for x in entries:
+                if not isinstance(x, numbers.Real) or isinstance(x, bool):
+                    raise BadConfigError(name, f"entries must be real numbers, got {x!r}")
                 if not math.isfinite(x) or not (0.0 <= x <= 1.0):
                     raise BadConfigError(name, f"entries must lie in [0, 1], got {x!r}")
+            object.__setattr__(self, name, tuple(float(x) for x in entries))
 
     @property
     def label_count(self) -> int:
@@ -325,11 +327,6 @@ class ExperimentConfig:
     @property
     def background_index(self) -> int:
         return self.class_count + 1
-
-    @property
-    def model_input_dim(self) -> int:
-        """Width of video_feature_matrix(video, feature_window)."""
-        return self.feature_dim * (2 * self.feature_window + 1)
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return dataclasses.replace(self, **kwargs)
@@ -341,27 +338,24 @@ class ExperimentConfig:
             out[f.name] = list(v) if isinstance(v, tuple) else v
         return out
 
+    # The three names perfbench/workloads.py reads and nothing in the package
+    # does: these two properties and video_feature_matrix below. ROADMAP
+    # direction 5 deletes this block when the benchmark reads video.features
+    # and feature_dim instead.
+    @property
+    def feature_window(self) -> int:
+        return 0
+
+    @property
+    def model_input_dim(self) -> int:
+        return self.feature_dim
+
 
 def video_feature_matrix(video: VideoRecord, window: int = 0) -> np.ndarray:
-    """The model's input rows of a video: its features, optionally
-    concatenating a +-window context.
-
-    Window 0 returns the video's read-only array itself, uncopied.
-    Out-of-range context positions contribute zero vectors.
-    """
-    base = video.features
-    if window == 0:
-        return base
-    n = len(base)
-    parts = []
-    for off in range(-window, window + 1):
-        # part for offset o holds base[t + o], zero where t + o is out of range
-        shifted = np.zeros_like(base)
-        dst = slice(max(0, -off), n - max(0, off))
-        src = slice(max(0, off), n - max(0, -off))
-        shifted[dst] = base[src]
-        parts.append(shifted)
-    return np.concatenate(parts, axis=1)
+    """The video's read-only feature array itself; no other window exists."""
+    if window != 0:
+        raise ValueError(f"feature window {window!r}: only 0 is supported")
+    return video.features
 
 
 def snippet_true_labels(instances, n_snippets: int, background_index: int) -> np.ndarray:

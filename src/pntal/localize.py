@@ -60,7 +60,7 @@ from typing import Dict, Mapping, Sequence, Union
 import numpy as np
 
 from . import model
-from .core import ActionInstance, Error, ExperimentConfig, VideoRecord, video_feature_matrix
+from .core import ActionInstance, Error, ExperimentConfig, VideoRecord
 
 
 class MalformedDetectionError(Error, ValueError):
@@ -469,9 +469,7 @@ def detect_videos(
     end, descending score)."""
     summaries = _Summaries([video.snippet_count for video in videos])
     for k, video in enumerate(videos):
-        probs, scores, _ = model.forward_batch(
-            params, video_feature_matrix(video, config.feature_window)
-        )
+        probs, scores, _ = model.forward_batch(params, video.features)
         summaries.put(k, probs, scores)
     candidates = _candidates(
         [video.video_id for video in videos], summaries,

@@ -277,8 +277,8 @@ def save_params(params: ModelParams, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_params(path, expected_input_dim=None, expected_hidden=None, expected_labels=None) -> ModelParams:
-    """Load a checkpoint, validating the header and (optionally) the shapes."""
+def load_params(path, expected_input_dim: int, expected_hidden: int, expected_labels: int) -> ModelParams:
+    """Load a checkpoint, validating the header and the three expected dims."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
@@ -318,15 +318,15 @@ def load_params(path, expected_input_dim=None, expected_hidden=None, expected_la
         params = ModelParams(**values)
     except (ShapeMismatchError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: {exc}") from exc
-    if expected_input_dim is not None and params.input_dim != expected_input_dim:
+    if params.input_dim != expected_input_dim:
         raise ShapeMismatchError(
             f"{path}: checkpoint input dim {params.input_dim} != config {expected_input_dim}"
         )
-    if expected_hidden is not None and params.hidden_width != expected_hidden:
+    if params.hidden_width != expected_hidden:
         raise ShapeMismatchError(
             f"{path}: checkpoint hidden width {params.hidden_width} != config {expected_hidden}"
         )
-    if expected_labels is not None and params.label_count != expected_labels:
+    if params.label_count != expected_labels:
         raise ShapeMismatchError(
             f"{path}: checkpoint label count {params.label_count} != config {expected_labels}"
         )

@@ -57,7 +57,6 @@ from .core import (
     softmax_rows,
     stack_rows,
     stream_rng,
-    video_feature_matrix,
 )
 from .partition import partition_rows
 
@@ -87,7 +86,7 @@ class MissingGroundTruthError(Error, KeyError):
 class Pool:
     """The snippet rows of some videos, stacked in video order."""
 
-    features: np.ndarray  # (N, d_in)
+    features: np.ndarray  # (N, feature_dim)
     labels: Optional[np.ndarray]  # (N,) 1-based true class ids, None where unknown
 
     @property
@@ -104,9 +103,9 @@ def build_pool(
     maps every video's id to its action instances (a benchmark's sealed map,
     or the labeled videos' own)."""
     if not videos:
-        features = np.zeros((0, config.model_input_dim))
+        features = np.zeros((0, config.feature_dim))
     else:
-        features = np.concatenate([video_feature_matrix(v, config.feature_window) for v in videos])
+        features = np.concatenate([v.features for v in videos])
     if instances is None:
         return Pool(features=features, labels=None)
     labels = [np.zeros(0, dtype=np.int64)]
@@ -123,7 +122,10 @@ def _labeled_pool(videos: Sequence[VideoRecord], config: ExperimentConfig) -> Po
     return build_pool(videos, config, {v.video_id: v.instances for v in videos})
 
 
-# The name perfbench/ calls build_pool by; the package itself does not use it.
+# The names perfbench/ reads from this module and the package does not use:
+# an alias of build_pool, and core's video_feature_matrix (see its comment).
+from .core import video_feature_matrix
+
 build_unlabeled_pool = build_pool
 
 
@@ -315,7 +317,7 @@ def pretrain(labeled_videos: Sequence[VideoRecord], config: ExperimentConfig) ->
         raise EmptyLabeledSetError("pretraining needs at least one labeled video")
     pool = _labeled_pool(labeled_videos, config)
     truth = _ground_truth(pool, config, negatives=True)
-    params = model.init_params(config.model_input_dim, config.hidden_width, config.label_count, config.seed)
+    params = model.init_params(config.feature_dim, config.hidden_width, config.label_count, config.seed)
     work = model.Workspace(params, rows=min(config.batch_size, pool.size))
     for epoch in range(config.pretrain_epochs):
         rng = stream_rng(config.seed, _STREAM_PRETRAIN, epoch)
@@ -396,7 +398,7 @@ def snippet_accuracy(
     total = 0
     for video in videos:
         truth = snippet_true_labels(video.instances, video.snippet_count, config.background_index)
-        probs, _, _ = model.forward_batch(params, video_feature_matrix(video, config.feature_window))
+        probs, _, _ = model.forward_batch(params, video.features)
         pred = np.argmax(probs, axis=1) + 1
         correct += int((pred == truth).sum())
         total += video.snippet_count

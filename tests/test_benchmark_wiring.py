@@ -25,8 +25,8 @@ import oracles
 import pntal
 import tracing
 import workloads
-from pntal import localize, model
-from pntal.core import ActionInstance, VideoRecord, video_feature_matrix
+from pntal import localize, model, selftrain
+from pntal.core import ActionInstance, VideoRecord
 
 root = Path({root!r})
 assert Path(oracles.__file__).parent == root / "perfbench", oracles.__file__
@@ -41,6 +41,12 @@ for point in workloads.LAYER_POINTS:
 features = np.arange(12.0).reshape(4, 3)
 video = VideoRecord("v", features, (ActionInstance(0, 1, 2),), labeled=True)
 assert workloads._video_fingerprint(video) == ("v", features.tobytes(), [(0, 1, 2)])
+assert selftrain.video_feature_matrix(video, 0) is video.features
+try:
+    selftrain.video_feature_matrix(video, 1)
+    raise AssertionError("a feature window of 1 was accepted")
+except ValueError:
+    pass
 
 # Each workload's set-up, one unit and its first-unit checks, as a run does them.
 ready = {{}}
@@ -62,9 +68,10 @@ with tracing.Tracer(workloads.LAYER_POINTS) as tracer:
 totals = tracer.layer_totals([2])
 nms = totals["localize.soft_nms"]
 params, config = ready["localize"].params, ready["localize"].config
+assert config.feature_window == 0 and config.model_input_dim == config.feature_dim
 candidates = 0
 for video in videos:
-    probs, scores, _ = model.forward_batch(params, video_feature_matrix(video, config.feature_window))
+    probs, scores, _ = model.forward_batch(params, video.features)
     candidates += len(localize.generate_candidates(
         video.video_id, probs, scores, config.classification_thresholds, config.mask_thresholds
     ))

@@ -155,12 +155,21 @@ class TestExitCodes:
     def test_config_refused_before_any_output(self, tmp_path, capsys, generate_calls):
         narrow = tmp_path / "narrow.cfg"
         narrow.write_text("class_count = 20\nfeature_dim = 16\n")
+        windowed = tmp_path / "windowed.cfg"
+        windowed.write_text("feature_window = 0\n")
         for i, command in enumerate((
             ["generate", "--config", str(narrow)],
+            ["generate", "--config", str(windowed)],
             ["generate", "--seed", "-1"],
             ["selftrain", "--seed", "-1"],
             ["ablate-lambda", "--grid", "0.8", "1.5"],
             ["ablate-lambda", "--grid", "0.8", "0.8"],
+            # training flags that no stage of the command would read
+            ["generate", "--objective", "hybrid"],
+            ["pretrain", "--lambda", "0.8"],
+            ["evaluate", "--alpha", "1", "--detections", "x"],
+            ["ablate-lambda", "--lambda", "0.8", "--grid", "0.8"],
+            ["compare-baselines", "--objective", "hybrid"],
         )):
             out = tmp_path / f"o{i}"
             assert main(command + ["--out", str(out)]) == 1

@@ -190,6 +190,17 @@ class TestExperimentConfig:
         with pytest.raises(BadConfigError) as err:
             ExperimentConfig(objective="nonsense")
         assert "objective" in str(err.value)
+        for name, value in (
+            ("tiou_grid", "0"),
+            ("tiou_grid", 0.5),
+            ("classification_thresholds", (0.5, None)),
+            ("mask_thresholds", (0.5, "0.6")),
+            ("mask_thresholds", (True,)),
+        ):
+            with pytest.raises(BadConfigError) as err:
+                ExperimentConfig(**{name: value})
+            assert name in str(err.value)
+        assert ExperimentConfig(tiou_grid=[0, np.float32(0.5)]).tiou_grid == (0.0, 0.5)
 
     def test_feature_dim_covers_prototypes(self):
         assert [prototype_dimensions(c) for c in (1, 2, 3, 4, 5, 10, 20)] == [1, 3, 4, 6, 7, 15, 30]
@@ -206,10 +217,6 @@ class TestExperimentConfig:
             ExperimentConfig(seed=-1)
         assert "seed" in str(err.value)
         assert ExperimentConfig(seed=0).seed == 0
-
-    def test_window_input_dim(self):
-        cfg = ExperimentConfig(feature_window=2)
-        assert cfg.model_input_dim == cfg.feature_dim * 5
 
     def test_replace(self):
         cfg = ExperimentConfig().replace(seed=7)

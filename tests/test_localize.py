@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pntal import localize, model
-from pntal.core import ActionInstance, ExperimentConfig, VideoRecord, video_feature_matrix
+from pntal.core import ActionInstance, ExperimentConfig, VideoRecord
 from pntal.localize import (
     Detection,
     DetectionTable,
@@ -505,12 +505,11 @@ def test_soft_nms_many_groups_against_oracle():
 def _scene_model():
     """A random model, four videos with ids out of sorted order, and one
     all-zero video whose mask scores all fall below the thresholds."""
-    config = ExperimentConfig(class_count=3, feature_dim=6, hidden_width=10, feature_window=1,
-                              soft_nms_floor=0.05)
-    params = model.init_params(config.model_input_dim, config.hidden_width, config.label_count, seed=3)
+    config = ExperimentConfig(class_count=3, feature_dim=6, hidden_width=10, soft_nms_floor=0.05)
+    params = model.init_params(config.feature_dim, config.hidden_width, config.label_count, seed=3)
     params = model.ModelParams(
         trunk_w=params.trunk_w * 3.0, trunk_b=np.zeros(config.hidden_width), class_w=params.class_w * 3.0,
-        class_b=params.class_b, mask_w=np.abs(params.mask_w) * 4.0, mask_b=-3.0,
+        class_b=params.class_b, mask_w=np.abs(params.mask_w) * 2.0, mask_b=-3.0,
     )
     rng = np.random.default_rng(15)
     videos = []
@@ -525,7 +524,7 @@ def test_detect_videos_against_loop_references():
     params, videos, config = _scene_model()
     want = []
     for video in videos:
-        probs, scores, _ = model.forward_batch(params, video_feature_matrix(video, config.feature_window))
+        probs, scores, _ = model.forward_batch(params, video.features)
         cands = reference_candidates(
             probs, scores, config.classification_thresholds, config.mask_thresholds
         )

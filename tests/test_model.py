@@ -291,7 +291,7 @@ class TestCheckpoint:
         params = init_params(5, 6, 4, seed=9)
         path = tmp_path / "ckpt.txt"
         save_params(params, path)
-        loaded = load_params(path, expected_input_dim=5, expected_hidden=6, expected_labels=4)
+        loaded = load_params(path, 5, 6, 4)
         for name in model.PARAM_FIELDS:
             assert np.array_equal(np.asarray(getattr(loaded, name)),
                                   np.asarray(getattr(params, name)))
@@ -300,14 +300,18 @@ class TestCheckpoint:
         params = init_params(5, 6, 4, seed=10)
         path = tmp_path / "ckpt.txt"
         save_params(params, path)
-        with pytest.raises(ShapeMismatchError):
-            load_params(path, expected_input_dim=7)
+        with pytest.raises(ShapeMismatchError, match="input dim 5 != config 7"):
+            load_params(path, 7, 6, 4)
+        with pytest.raises(ShapeMismatchError, match="hidden width 6 != config 7"):
+            load_params(path, 5, 7, 4)
+        with pytest.raises(ShapeMismatchError, match="label count 4 != config 7"):
+            load_params(path, 5, 6, 7)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not a checkpoint\n")
         with pytest.raises(CheckpointFormatError):
-            load_params(path)
+            load_params(path, 5, 6, 4)
 
     def test_truncated(self, tmp_path):
         params = init_params(5, 6, 4, seed=11)
@@ -316,14 +320,14 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:5]) + "\n")
         with pytest.raises(CheckpointFormatError):
-            load_params(path)
+            load_params(path, 5, 6, 4)
 
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "ckpt.txt"
         save_params(init_params(5, 6, 4, seed=11), path)
         path.write_bytes(path.read_bytes().replace(b"trunk_b", b"trunk_\xff"))
         with pytest.raises(CheckpointFormatError, match="UTF-8"):
-            load_params(path)
+            load_params(path, 5, 6, 4)
 
     def test_negative_dimensions(self, tmp_path):
         # Four values and a shape whose product is 4: only the signs are wrong.
@@ -333,16 +337,16 @@ class TestCheckpoint:
         assert "\ntrunk_b 4\n" in text
         path.write_text(text.replace("\ntrunk_b 4\n", "\ntrunk_b -2 -2\n"))
         with pytest.raises(CheckpointFormatError, match="trunk_b"):
-            load_params(path)
+            load_params(path, 5, 4, 4)
 
     def test_content_after_last_section(self, tmp_path):
         path = tmp_path / "ckpt.txt"
         save_params(init_params(5, 4, 4, seed=11), path)
-        load_params(path)  # the file as written loads
+        load_params(path, 5, 4, 4)  # the file as written loads
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("\njunk 1\n")
         with pytest.raises(CheckpointFormatError, match="after section mask_b"):
-            load_params(path)
+            load_params(path, 5, 4, 4)
 
     @pytest.mark.parametrize("header", ["mask_b", "mask_b 1 1"])
     def test_mask_bias_not_one_value(self, tmp_path, header):
@@ -352,7 +356,7 @@ class TestCheckpoint:
         assert "\nmask_b 1\n" in text
         path.write_text(text.replace("\nmask_b 1\n", f"\n{header}\n"))
         with pytest.raises(CheckpointFormatError, match="mask_b"):
-            load_params(path)
+            load_params(path, 5, 4, 4)
 
 
 def test_training_sanity_two_class():

@@ -17,7 +17,6 @@ from pntal.selftrain import (
     sharpen_rows,
     snippet_accuracy,
     subspace_statistics,
-    video_feature_matrix,
 )
 
 from oracles import (
@@ -54,7 +53,7 @@ def unlabeled_video(video_id, n, d, rng):
 
 
 def annotate(params, video, cfg):
-    return assign_annotation(params, video_feature_matrix(video, cfg.feature_window), cfg)
+    return assign_annotation(params, video.features, cfg)
 
 
 def chi_square_upper_quantile(df, p):
@@ -121,7 +120,7 @@ class TestPretrain:
         cfg = small_config(pretrain_epochs=0)
         bench = datagen.generate_benchmark(cfg)
         params = pretrain(bench.labeled, cfg)
-        init = model.init_params(cfg.model_input_dim, cfg.hidden_width, cfg.label_count, cfg.seed)
+        init = model.init_params(cfg.feature_dim, cfg.hidden_width, cfg.label_count, cfg.seed)
         for name in model.PARAM_FIELDS:
             assert np.array_equal(np.asarray(getattr(params, name)),
                                   np.asarray(getattr(init, name)))
@@ -140,7 +139,7 @@ class TestPretrain:
         condition under which a sweep shares one pretrain among a seed's
         variants (objective, lambda)."""
         pretrain_fields = {
-            "class_count", "feature_dim", "feature_window", "hidden_width",
+            "class_count", "feature_dim", "hidden_width",
             "pretrain_epochs", "learning_rate", "batch_size", "seed",
         }
         cfg = small_config()
@@ -176,7 +175,7 @@ class TestPretrain:
 class TestAssignPseudoLabels:
     def test_confident_model_marks_all_non_targets_negative(self):
         cfg = small_config(sharpen_temperature=1.0)
-        params = bias_model([0.994, 0.002, 0.002, 0.001, 0.001], cfg.model_input_dim)
+        params = bias_model([0.994, 0.002, 0.002, 0.001, 0.001], cfg.feature_dim)
         rng = np.random.default_rng(0)
         video = unlabeled_video("u", 5, cfg.feature_dim, rng)
         ann = annotate(params, video, cfg)
@@ -187,7 +186,7 @@ class TestAssignPseudoLabels:
     def test_matches_partition_label_space(self):
         probs = [0.30, 0.27, 0.18, 0.15, 0.10]
         cfg = small_config(sharpen_temperature=1.0, positive_confidence_ratio=0.85)
-        params = bias_model(probs, cfg.model_input_dim)
+        params = bias_model(probs, cfg.feature_dim)
         rng = np.random.default_rng(1)
         video = unlabeled_video("u", 4, cfg.feature_dim, rng)
         ann = annotate(params, video, cfg)
@@ -216,7 +215,7 @@ class TestAssignPseudoLabels:
         video = unlabeled_video("u", 3, 8, rng)
 
         cfg = small_config(sharpen_temperature=1.0, objective="target-only")
-        params = bias_model(probs, cfg.model_input_dim)
+        params = bias_model(probs, cfg.feature_dim)
         assert row_partition(annotate(params, video, cfg), 0) == (1, set(), set())
 
         cfg = small_config(sharpen_temperature=1.0, objective="target-negative")
@@ -241,7 +240,7 @@ class TestAssignPseudoLabels:
         cfg = small_config(class_count=5, objective="complementary")
         bench = datagen.generate_benchmark(cfg)
         params = pretrain(bench.labeled, cfg)
-        features = np.random.default_rng(11).normal(size=(50_000, cfg.model_input_dim))
+        features = np.random.default_rng(11).normal(size=(50_000, cfg.feature_dim))
         ann = assign_annotation(params, features, cfg, epoch=3)
         rows = np.arange(len(features))
         assert np.all(ann.neg_mask.sum(axis=1) == 1)
@@ -279,7 +278,7 @@ class TestAssignPseudoLabels:
         params = pretrain(bench.labeled, cfg)
         for source in bench.unlabeled[:3]:
             ann = annotate(params, source, cfg)
-            probs, _, _ = model.forward_batch(params, video_feature_matrix(source))
+            probs, _, _ = model.forward_batch(params, source.features)
             sharpened = selftrain.sharpen_rows(probs, cfg.sharpen_temperature)
             for i in range(source.snippet_count):
                 assert ann.targets[i] == int(np.argmax(sharpened[i])) + 1
@@ -320,14 +319,6 @@ class TestComplementPicks:
             assert not view.flags.c_contiguous
             self.assert_matches_reference(view, 9, 2, 11, targets[: len(view)])
 
-    def test_windowed_rows(self):
-        cfg = small_config(feature_window=1)
-        video = unlabeled_video("u", 40, cfg.feature_dim, np.random.default_rng(6))
-        features = video_feature_matrix(video, cfg.feature_window)
-        assert features.shape[1] == cfg.model_input_dim == 3 * cfg.feature_dim
-        targets = np.random.default_rng(7).integers(1, cfg.label_count + 1, size=len(features))
-        self.assert_matches_reference(features, cfg.seed, 4, cfg.label_count, targets)
-
 
 class TestSubspaceStatistics:
     def test_perfect_model(self):
@@ -358,7 +349,7 @@ class TestSubspaceStatistics:
         cfg = small_config(sharpen_temperature=1.0)
         bench = datagen.generate_benchmark(cfg)
         pool = build_pool(bench.unlabeled, cfg, bench.sealed)
-        params = bias_model([0.2] * 5, cfg.model_input_dim)
+        params = bias_model([0.2] * 5, cfg.feature_dim)
         stats = subspace_statistics(assign_annotation(params, pool.features, cfg), pool.labels)
         truths = pool.labels
         assert stats.target_rate == pytest.approx((truths == 1).mean())
@@ -447,24 +438,3 @@ class TestSelfTrainLoop:
         first = batch_terms(probs, scores, ann, cfg.unlabeled_loss_weight, work)[0]
         second = batch_terms(probs, scores, ann, cfg.unlabeled_loss_weight, work)[0]
         assert first == second
-
-
-class TestWindowedFeatures:
-    def test_window_shapes_and_padding(self):
-        rng = np.random.default_rng(4)
-        video = unlabeled_video("w", 5, 3, rng)
-        base = video_feature_matrix(video, window=0)
-        wide = video_feature_matrix(video, window=1)
-        assert wide.shape == (5, 9)
-        assert np.array_equal(wide[0, :3], np.zeros(3))  # left pad at t=0
-        assert np.array_equal(wide[0, 3:6], base[0])
-        assert np.array_equal(wide[0, 6:], base[1])
-        assert np.array_equal(wide[4, 6:], np.zeros(3))  # right pad at t=n-1
-
-    def test_training_with_window(self):
-        cfg = small_config(feature_window=1)
-        bench = datagen.generate_benchmark(cfg)
-        params = pretrain(bench.labeled, cfg)
-        assert params.input_dim == cfg.feature_dim * 3
-        out, metrics = self_train_loop(params, bench.labeled, bench.unlabeled, cfg)
-        assert len(metrics) == cfg.selftrain_epochs
